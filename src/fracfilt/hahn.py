@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import _open_text
 from .errors import ValidationError
 from .specfun import gamma, hyp3f2_unit
 
@@ -154,13 +155,14 @@ def _j1_lead(alpha: float, beta: float, N: int, n: int) -> float:
     return sign * _poch_over_factorial(beta + 1.0, N)
 
 
-def _j1_series(p: HahnFilterParams, m: int) -> float:
+def _j1_series(p: HahnFilterParams, m):
+    # m may be an integer array: the 3F2 then runs once over all of them
     return hyp3f2_unit(
         float(p.n - p.N),
         p.n + p.alpha + 1.0,
         m + p.n - p.nu,
         -float(p.N) - p.beta,
-        float(m + p.n + 1),
+        m + (p.n + 1.0),
     )
 
 
@@ -209,16 +211,16 @@ def hahn_weights(p: HahnFilterParams) -> FilterWeights:
     """Full tap set for the filter parameters.
 
     Backward taps share one running Pochhammer ratio so the batch costs
-    O(M*N) instead of O(M^2); j1_weight/j2_weight remain the per-tap
-    reference path.
+    O(M*N) instead of O(M^2), and are built as arrays over m with the
+    same per-tap operation order as j1_weight's running product;
+    j1_weight/j2_weight remain the per-tap reference path.
     """
     forward = np.array([j2_weight(p, m) for m in range(p.N + 1)])
-    backward = np.empty(p.M)
+    m = np.arange(1, p.M + 1)
+    steps = (m + p.n - 1.0 - p.nu) / (m + p.n)
+    ratio = np.multiply.accumulate(np.concatenate(([_falling_ratio(p.nu, p.n)], steps)))
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
-    ratio = _falling_ratio(p.nu, p.n)
-    for m in range(1, p.M + 1):
-        ratio *= (m + p.n - 1.0 - p.nu) / (m + p.n)
-        backward[m - 1] = lead * ratio * _j1_series(p, m)
+    backward = lead * ratio[1:] * _j1_series(p, m)
     prefactor = hahn_normalization(p.alpha, p.beta, p.N, p.n) / p.delta ** p.nu
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 
@@ -252,19 +254,20 @@ def gram_n1_weights(N: int, nu: float, delta: float, M: int) -> FilterWeights:
         forward[m] = (2.0 * m - N * nu) * ratio
         ratio *= (j - nu + 2.0) / (j + 1.0)
 
-    backward = np.empty(M)
-    a = gamma(2.0 - nu)                      # G(m - nu + 1)/G(m) at m = 1
-    for m in range(1, M + 1):
-        # nominal tap is C1*G(m-nu+1)/G(m) - C2*G(N+m-nu+2)/G(N+m+1); the two
-        # terms grow like m^(3/2) while their difference decays, so build the
-        # small residual directly: with S = prod(1 + (1-nu)/(m+k)) - 1 over
-        # k = 0..N the tap equals a * (2(N+1)(1-nu) - (2m + N nu) * S)
-        s = 0.0
-        for k in range(N + 1):
-            e = (1.0 - nu) / (m + k)
-            s += e + s * e
-        backward[m - 1] = a * (2.0 * (N + 1.0) * (1.0 - nu) - (2.0 * m + N * nu) * s)
-        a *= (m - nu + 1.0) / m
+    # nominal tap is C1*G(m-nu+1)/G(m) - C2*G(N+m-nu+2)/G(N+m+1); the two
+    # terms grow like m^(3/2) while their difference decays, so build the
+    # small residual directly: with S = prod(1 + (1-nu)/(m+k)) - 1 over
+    # k = 0..N the tap equals a * (2(N+1)(1-nu) - (2m + N nu) * S), where
+    # a = G(m - nu + 1)/G(m) is a running product from a = G(2 - nu) at m = 1.
+    # All m at once, each with the same operation order as a loop over m.
+    m = np.arange(1, M + 1)
+    s = np.zeros(M)
+    for k in range(N + 1):
+        e = (1.0 - nu) / (m + k)
+        s += e + s * e
+    steps = (m[:-1] - nu + 1.0) / m[:-1]
+    a = np.multiply.accumulate(np.concatenate(([gamma(2.0 - nu)], steps)))
+    backward = a * (2.0 * (N + 1.0) * (1.0 - nu) - (2.0 * m + N * nu) * s)
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 
 
@@ -306,15 +309,10 @@ def export_taps(weights: FilterWeights, destination) -> None:
     f(x + k*delta)), column 2 the full coefficient with the prefactor
     folded in.  Accepts a path or an open text file.
     """
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="ascii") if own else destination
-    try:
+    with _open_text(destination) as stream:
         stream.write("# discrete fractional-derivative taps\n")
         stream.write("# offset coefficient  (tap multiplies f(x + offset*delta))\n")
         for m in range(weights.backward.size, 0, -1):
             stream.write(f"{-m} {float(weights.prefactor * weights.backward[m - 1])!r}\n")
         for m in range(weights.forward.size):
             stream.write(f"{m} {float(weights.prefactor * weights.forward[m])!r}\n")
-    finally:
-        if own:
-            stream.close()

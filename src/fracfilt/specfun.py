@@ -1,4 +1,4 @@
-"""Scalar special functions tuned for the fractional filter formulas.
+"""Special functions tuned for the fractional filter formulas.
 
 Everything in this module is written for the parameter ranges that actually
 occur in the kernel and filter expressions: moderate polynomial orders, real
@@ -8,23 +8,29 @@ predictable failure over silent inaccuracy: each one raises a specific
 exception from :mod:`fracfilt.errors` when asked to leave its supported
 region, instead of returning a number that merely looks plausible.
 
-All functions are scalar.  Vectorization, where needed, happens at the call
-sites with ``numpy`` loops over frequency or spatial grids; the per-point
-cost is dominated by short series with explicit stopping rules.
+Parameters are scalar.  The argument may also be a numpy array in the
+places a frequency sweep needs it: ``complex_power``, the terminating and
+``|z| <= 0.95`` branches of ``hyp2f1``, every branch of ``kummer_m``, and
+array top/bottom parameters of ``hyp3f2_unit`` (the termination index comes
+from a scalar top parameter).  An array argument gives an array of the same
+shape, evaluated pointwise with the same stopping rule; a scalar gives a
+scalar.  An array call raises if any of its points would.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, ValidationError
 
 # Stopping rule shared by all open-ended series in this module: a term must
 # fall below SERIES_RTOL relative to the running sum SERIES_CONFIRM times in
 # a row before the sum is accepted, and no series may run past
-# SERIES_MAX_TERMS without raising ConvergenceError.
+# SERIES_MAX_TERMS without raising ConvergenceError.  Array arguments apply
+# the rule to each point separately.
 SERIES_RTOL = 1e-16
 SERIES_CONFIRM = 3
 SERIES_MAX_TERMS = 10000
@@ -34,19 +40,6 @@ SERIES_MAX_TERMS = 10000
 # cancel), so kummer_m refuses rather than degrade quietly.
 KUMMER_MAX_ABS = 50.0
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
@@ -55,24 +48,18 @@ def _nonpositive_int(x: float) -> bool:
 
 
 def gamma(x: float) -> float:
-    """Gamma function on the real line.
+    """Gamma function on the real line (``math.gamma``).
 
-    Lanczos approximation with g = 7 and nine coefficients, reflected onto
-    x >= 0.5 through the sine formula.  Relative error stays a few units in
-    the fifteenth digit over the ranges used by the filter code.
-
-    Raises PoleError at the poles (x = 0, -1, -2, ...).
+    Raises PoleError at the poles (x = 0, -1, -2, ...) and DomainError where
+    the value overflows a double (x > 171.6, or x within about 1e-308 of a
+    pole).
     """
     if _nonpositive_int(x):
         raise PoleError(f"gamma pole at x = {x:g}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return SQRT_TWO_PI * t ** (x + 0.5) * math.exp(-t) * acc
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x:g}) overflows double precision") from None
 
 
 def rgamma(x: float) -> float:
@@ -99,7 +86,7 @@ class CutSide(enum.Enum):
     MINUS_I0 = "-i0"
 
 
-def complex_power(z: complex, nu: float, side: CutSide | None = None) -> complex:
+def complex_power(z, nu: float, side: CutSide | None = None):
     """z**nu on the branch -pi < arg z < pi, explicit about the cut.
 
     For z strictly on the negative real axis the principal value is
@@ -111,68 +98,122 @@ def complex_power(z: complex, nu: float, side: CutSide | None = None) -> complex
         (z - i0)^nu = e^{-i pi nu} (-z)^nu
 
     Off the cut ``side`` is ignored.  z = 0 maps to 0 for nu > 0 and 1 for
-    nu = 0; DomainError for nu < 0.
+    nu = 0; DomainError for nu < 0.  A scalar z gives a complex, an array
+    z a complex array; an array with any point on the cut needs ``side``.
     """
-    z = complex(z)
-    if z == 0:
-        if nu > 0.0:
-            return 0j
-        if nu == 0.0:
-            return 1.0 + 0j
+    z = np.asarray(z, dtype=complex)
+    zero = z == 0
+    cut = (z.imag == 0.0) & (z.real < 0.0)
+    if nu < 0.0 and zero.any():
         raise DomainError("0**nu diverges for nu < 0")
-    if z.imag == 0.0 and z.real < 0.0:
-        if side is None:
-            raise ValidationError(
-                "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
-                "side=CutSide.MINUS_I0 to pick a boundary value"
-            )
-        sign = 1.0 if side is CutSide.PLUS_I0 else -1.0
-        return (-z.real) ** nu * cmath.exp(sign * 1j * math.pi * nu)
-    return cmath.exp(nu * cmath.log(z))
+    if side is None and cut.any():
+        raise ValidationError(
+            "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
+            "side=CutSide.MINUS_I0 to pick a boundary value"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.exp(nu * np.log(z))
+        if zero.any():
+            out = np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out)
+        if cut.any():
+            sign = 1.0 if side is CutSide.PLUS_I0 else -1.0
+            out = np.where(cut, (-z.real) ** nu * np.exp(sign * 1j * math.pi * nu), out)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _terminating_index(*tops: float) -> int | None:
-    """Smallest m with some top parameter equal to -m, if one exists."""
+def _terminating_index(*tops) -> int | None:
+    """Smallest m with some scalar top parameter equal to -m, if one exists."""
     best = None
     for p in tops:
-        if _nonpositive_int(p) and -p <= SERIES_MAX_TERMS:
+        if not isinstance(p, np.ndarray) and _nonpositive_int(p) and -p <= SERIES_MAX_TERMS:
             m = int(-p)
             if best is None or m < best:
                 best = m
     return best
 
 
-def _check_bottom(c: float, m: int, name: str) -> None:
+def _pole_before(c, m: int) -> bool:
     # (c)_k appears in denominators for k = 1..m; a nonpositive integer c
     # with -c < m puts a zero there before the sum terminates.
-    if _nonpositive_int(c) and -c < m:
+    if isinstance(c, np.ndarray):
+        return bool(np.any((c <= 0.0) & (c == np.floor(c)) & (-c < m)))
+    return _nonpositive_int(c) and -c < m
+
+
+def _check_bottom(c: float, m: int, name: str) -> None:
+    if _pole_before(c, m):
         raise PoleError(
             f"{name} undefined: bottom parameter {c:g} hits a pole before "
             f"the series terminates at index {m}"
         )
 
 
-def _gauss_series(a: float, b: float, c: float, z, kmax: int | None):
-    total = 1.0
-    term = 1.0
-    below = 0
-    limit = SERIES_MAX_TERMS if kmax is None else kmax
-    for k in range(limit):
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if kmax is None:
+def _series(name: str, a: float, b: float | None, c: float, z, kmax: int | None):
+    """sum_k (a)_k (b)_k / ((c)_k k!) z^k, the 2F1 series, or with b None
+    the confluent series sum_k (a)_k / ((c)_k k!) z^k.
+
+    With kmax the terminating sum of terms 0..kmax.  Otherwise the shared
+    stopping rule runs, per point for an array z: a point's sum is frozen
+    once it has settled, and points still moving after SERIES_MAX_TERMS
+    raise ConvergenceError.
+    """
+    scalar = not isinstance(z, np.ndarray)
+    if kmax is not None:
+        total = term = 1.0 if scalar else np.ones(np.shape(z), np.result_type(z, 1.0))
+        for k in range(kmax):
+            term = term * (a + k)
+            if b is not None:
+                term = term * (b + k)
+            term = term / ((c + k) * (k + 1)) * z
+            total = total + term
+        return total
+    if scalar:
+        total = term = 1.0
+        below = 0
+        for k in range(SERIES_MAX_TERMS):
+            term = term * (a + k)
+            if b is not None:
+                term = term * (b + k)
+            term = term / ((c + k) * (k + 1)) * z
+            total += term
             if abs(term) < SERIES_RTOL * abs(total):
                 below += 1
                 if below >= SERIES_CONFIRM:
                     return total
             else:
                 below = 0
-    if kmax is None:
-        raise ConvergenceError(
-            f"2F1 series did not settle within {SERIES_MAX_TERMS} terms "
-            f"(a={a:g}, b={b:g}, c={c:g}, |z|={abs(z):g})"
-        )
-    return total
+        live_abs = abs(z)
+    else:
+        z = np.asarray(z)
+        out = np.ones(z.shape, np.result_type(z, 1.0))
+        flat = out.reshape(-1)
+        live = np.arange(z.size)            # flat indices still summing
+        zl = z.reshape(-1)
+        term = total = flat.copy()
+        below = np.zeros(z.size, dtype=int)
+        for k in range(SERIES_MAX_TERMS):
+            if not live.size:
+                return out
+            term = term * (a + k)
+            if b is not None:
+                term = term * (b + k)
+            term = term / ((c + k) * (k + 1)) * zl
+            total = total + term
+            below = np.where(np.abs(term) < SERIES_RTOL * np.abs(total), below + 1, 0)
+            done = below >= SERIES_CONFIRM
+            if done.any():
+                flat[live[done]] = total[done]
+                keep = ~done
+                live, zl, term, total, below = (
+                    live[keep], zl[keep], term[keep], total[keep], below[keep])
+        if not live.size:
+            return out
+        live_abs = float(np.max(np.abs(zl)))
+    params = ", ".join(f"{p:g}" for p in (a, b, c) if p is not None)
+    raise ConvergenceError(
+        f"{name}({params}) series did not settle within {SERIES_MAX_TERMS} "
+        f"terms (|z|={live_abs:g})"
+    )
 
 
 def hyp2f1(a: float, b: float, c: float, z):
@@ -181,9 +222,11 @@ def hyp2f1(a: float, b: float, c: float, z):
     Dispatch, in order:
 
     * a or b a nonpositive integer: exact terminating sum, any z (real or
-      complex).  The bottom parameter may itself be a nonpositive integer
-      as long as its pole sits beyond the termination index.
-    * |z| <= 0.95: direct series (complex z allowed).
+      complex, scalar or array).  The bottom parameter may itself be a
+      nonpositive integer as long as its pole sits beyond the termination
+      index.
+    * |z| <= 0.95: direct series (complex z allowed; an array z must lie
+      inside this disk as a whole).
     * real z < -0.5: Pfaff map z -> z/(z-1) onto (0, 1), then recurse.
     * real 0.95 < z < 1: connection formula in powers of 1 - z.  Needs
       c - a - b away from the integers; the logarithmic cases are not
@@ -196,13 +239,21 @@ def hyp2f1(a: float, b: float, c: float, z):
     m = _terminating_index(a, b)
     if m is not None:
         _check_bottom(c, m, "2F1")
-        return _gauss_series(a, b, c, z, kmax=m)
+        return _series("2F1", a, b, c, z, kmax=m)
     if _nonpositive_int(c):
         raise PoleError(f"2F1 undefined for bottom parameter c = {c:g}")
 
+    if isinstance(z, np.ndarray):
+        if np.all(np.abs(z) <= 0.95):
+            return _series("2F1", a, b, c, z, kmax=None)
+        raise DomainError(
+            "2F1 takes an array argument only for a terminating series or "
+            "for |z| <= 0.95 throughout; evaluate other points one at a time"
+        )
+
     if isinstance(z, complex) and z.imag != 0.0:
         if abs(z) <= 0.95:
-            return _gauss_series(a, b, c, z, kmax=None)
+            return _series("2F1", a, b, c, z, kmax=None)
         raise DomainError(
             f"2F1 supports non-real arguments only for |z| <= 0.95, got |z| = {abs(z):g}"
         )
@@ -213,7 +264,7 @@ def hyp2f1(a: float, b: float, c: float, z):
         # and x/(x-1) lands in (1/3, 1) where the other branches apply.
         return (1.0 - x) ** (-a) * hyp2f1(a, c - b, c, x / (x - 1.0))
     if abs(x) <= 0.95:
-        return _gauss_series(a, b, c, x, kmax=None)
+        return _series("2F1", a, b, c, x, kmax=None)
     if x < 1.0:
         return _connection_near_one(a, b, c, x)
     if x == 1.0:
@@ -235,12 +286,12 @@ def _connection_near_one(a: float, b: float, c: float, x: float):
     w = 1.0 - x
     first = (
         gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
-        * _gauss_series(a, b, 1.0 - s, w, kmax=None)
+        * _series("2F1", a, b, 1.0 - s, w, kmax=None)
     )
     second = (
         gamma(c) * gamma(-s) * rgamma(a) * rgamma(b)
         * w ** s
-        * _gauss_series(c - a, c - b, 1.0 + s, w, kmax=None)
+        * _series("2F1", c - a, c - b, 1.0 + s, w, kmax=None)
     )
     return first + second
 
@@ -257,13 +308,13 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     m = _terminating_index(a1, a2, a3)
     if m is None or m > terms:
         raise ConvergenceError(
-            f"3F2 top parameters ({a1:g}, {a2:g}, {a3:g}) give no "
-            f"termination within {terms} terms"
+            f"3F2 top parameters ({', '.join(map(_param_text, (a1, a2, a3)))}) "
+            f"give no termination within {terms} terms"
         )
     for b in (b1, b2):
-        if _nonpositive_int(b) and -b < m:
+        if _pole_before(b, m):
             raise DomainError(
-                f"3F2 bottom parameter {b:g} vanishes before the series "
+                f"3F2 bottom parameter {_param_text(b)} vanishes before the series "
                 f"terminates at index {m}"
             )
     total = 1.0
@@ -274,6 +325,10 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
     return total
 
 
+def _param_text(p) -> str:
+    return f"array of {p.size}" if isinstance(p, np.ndarray) else f"{p:g}"
+
+
 def kummer_m(a: float, c: float, z):
     """Confluent hypergeometric M(a, c; z) for real parameters.
 
@@ -281,6 +336,7 @@ def kummer_m(a: float, c: float, z):
     z.  Otherwise the direct series is used for Re z >= 0 and the Kummer
     transformation M(a, c; z) = e^z M(c-a, c; -z) for Re z < 0, which keeps
     every term of the inner series positive-real-argument and well behaved.
+    An array z takes each point down its own branch.
 
     Arguments with |z| > KUMMER_MAX_ABS raise DomainError: the partial sums
     of the series reach about e^{|z|} before cancelling down to the answer,
@@ -288,45 +344,29 @@ def kummer_m(a: float, c: float, z):
     the cap expect absolute accuracy around e^{|z|} * 1e-16 rather than
     relative accuracy.
     """
-    if abs(z) > KUMMER_MAX_ABS:
+    size = np.max(np.abs(z), initial=0.0) if isinstance(z, np.ndarray) else abs(z)
+    if size > KUMMER_MAX_ABS:
         raise DomainError(
-            f"kummer_m supports |z| <= {KUMMER_MAX_ABS:g}; got |z| = {abs(z):g} "
+            f"kummer_m supports |z| <= {KUMMER_MAX_ABS:g}; got |z| = {size:g} "
             "(series cancellation exhausts double precision)"
         )
     m = _terminating_index(a)
     if m is not None:
         _check_bottom(c, m, "M")
-        return _kummer_series(a, c, z, kmax=m)
+        return _series("M", a, None, c, z, kmax=m)
     if _nonpositive_int(c):
         raise PoleError(f"M undefined for bottom parameter c = {c:g}")
-    re = z.real if isinstance(z, complex) else float(z)
-    if re < 0.0:
-        ez = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
-        return ez * kummer_m(c - a, c, -z)
-    return _kummer_series(a, c, z, kmax=None)
-
-
-def _kummer_series(a: float, c: float, z, kmax: int | None):
-    total = 1.0
-    term = 1.0
-    below = 0
-    limit = SERIES_MAX_TERMS if kmax is None else kmax
-    for k in range(limit):
-        term = term * (a + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if kmax is None:
-            if abs(term) < SERIES_RTOL * abs(total):
-                below += 1
-                if below >= SERIES_CONFIRM:
-                    return total
-            else:
-                below = 0
-    if kmax is None:
-        raise ConvergenceError(
-            f"Kummer series did not settle within {SERIES_MAX_TERMS} terms "
-            f"(a={a:g}, c={c:g}, |z|={abs(z):g})"
-        )
-    return total
+    flip = z.real < 0.0
+    if isinstance(z, np.ndarray):
+        if flip.any() and not flip.all():
+            out = np.empty(z.shape, np.result_type(z, 1.0))
+            out[flip] = kummer_m(a, c, z[flip])
+            out[~flip] = kummer_m(a, c, z[~flip])
+            return out
+        flip = flip.any()
+    if flip:
+        return np.exp(z) * kummer_m(c - a, c, -z)
+    return _series("M", a, None, c, z, kmax=None)
 
 
 def _double_factorial_odd(n: int) -> float:

@@ -11,6 +11,12 @@ shift f(x - m delta) picks up e^{+i m omega delta} and the upper-limit
 (decaying-functions) derivative has the response (i omega)^nu.  The
 lower-limit operator is its conjugate; operators declare which side they
 live on through the Convention enum.
+
+Every ``*_transfer`` function takes omega as a float, returning a
+``complex``, or as a numpy array, returning a complex array with one value
+per frequency.  An array call raises if any of its frequencies is outside
+the supported range; ``sweep`` then falls back to one call per frequency
+and poisons only the failing points.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._textio import _open_text
 from .errors import FracfiltError, ValidationError
 from .hahn import HahnFilterParams, gram_n1_weights
 from .kernels import JacobiKernelParams
@@ -99,16 +106,24 @@ class TransferSample:
         return math.log10(m) if m > 0.0 else -math.inf
 
 
-def ideal_transfer(nu: float, omega: float, convention: Convention) -> complex:
+def _result(omega: float | np.ndarray, value) -> complex | np.ndarray:
+    """complex for a scalar omega, a complex array for an array omega."""
+    return np.asarray(value, dtype=complex) if np.ndim(omega) else complex(value)
+
+
+def ideal_transfer(
+    nu: float, omega: float | np.ndarray, convention: Convention
+) -> complex | np.ndarray:
     """Pure power law: (i omega)^nu upper-limit, (-i omega)^nu lower."""
     if convention is Convention.WEYL:
-        return complex_power(1j * omega, nu)
-    return complex_power(-1j * omega, nu)
+        return complex_power(1j * np.asarray(omega), nu)
+    return complex_power(-1j * np.asarray(omega), nu)
 
 
 def jacobi_transfer(
-    params: JacobiKernelParams, omega: float, convention: Convention = Convention.WEYL
-) -> complex:
+    params: JacobiKernelParams, omega: float | np.ndarray,
+    convention: Convention = Convention.WEYL,
+) -> complex | np.ndarray:
     """Response of the continuous Jacobi-kernel differentiator:
     (i w)^nu e^(-i w delta) M(n+a+1, 2n+a+b+2; 2 i w delta).
 
@@ -116,29 +131,32 @@ def jacobi_transfer(
     |2 w delta| <= 50; beyond that use legendre_transfer (Bessel form)
     when alpha = beta = 0."""
     a, b, n, nu, delta = params.alpha, params.beta, params.n, params.nu, params.delta
+    w = np.asarray(omega, dtype=float)
     value = (
-        complex_power(1j * omega, nu)
-        * cmath.exp(-1j * omega * delta)
-        * kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * omega * delta)
+        complex_power(1j * w, nu)
+        * np.exp(-1j * w * delta)
+        * kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * w * delta)
     )
-    return value if convention is Convention.WEYL else value.conjugate()
+    return _result(omega, value if convention is Convention.WEYL else np.conj(value))
 
 
 def legendre_transfer(
-    n: int, nu: float, delta: float, omega: float,
+    n: int, nu: float, delta: float, omega: float | np.ndarray,
     convention: Convention = Convention.WEYL,
-) -> complex:
+) -> complex | np.ndarray:
     """Flat-weight (alpha = beta = 0) kernel response in spherical Bessel
     form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n.  Same function as
     jacobi_transfer at those parameters but valid for arbitrarily large
-    frequency."""
+    frequency.  The Bessel ratio is evaluated point by point."""
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
     if not delta > 0.0:
         raise ValidationError(f"step must be positive, got {delta:g}")
     coeff = gamma(2.0 * n + 2.0) / (2.0 ** n * gamma(n + 1.0))
-    value = complex_power(1j * omega, nu) * coeff * spherical_jn_ratio(n, omega * delta)
-    return value if convention is Convention.WEYL else value.conjugate()
+    w = np.asarray(omega, dtype=float)
+    bessel = np.array([spherical_jn_ratio(n, float(x)) for x in (w * delta).flat])
+    value = complex_power(1j * w, nu) * coeff * bessel.reshape(w.shape)
+    return _result(omega, value if convention is Convention.WEYL else np.conj(value))
 
 
 def _hahn_gain(alpha: float, beta: float, N: int, n: int) -> float:
@@ -154,7 +172,9 @@ def _hahn_gain(alpha: float, beta: float, N: int, n: int) -> float:
     )
 
 
-def hahn_transfer(params: HahnFilterParams, omega: float) -> complex:
+def hahn_transfer(
+    params: HahnFilterParams, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Response of the untruncated discrete filter (backward history
     summed to infinity):
 
@@ -165,18 +185,19 @@ def hahn_transfer(params: HahnFilterParams, omega: float) -> complex:
     character and reduces to the backward-difference response at N = n.
     """
     n, nu, delta = params.n, params.nu, params.delta
-    diff = (1.0 - cmath.exp(1j * omega * delta)) / delta
-    return (
-        complex_power(diff, nu)
-        * cmath.exp(-1j * n * omega * delta)
+    phase = 1j * np.asarray(omega, dtype=float) * delta
+    value = (
+        complex_power((1.0 - np.exp(phase)) / delta, nu)
+        * np.exp(-n * phase)
         * _hahn_gain(params.alpha, params.beta, params.N, n)
         * hyp2f1(
             float(params.n - params.N),
             params.alpha + n + 1.0,
             -params.beta - float(params.N),
-            cmath.exp(-1j * omega * delta),
+            np.exp(-phase),
         )
     )
+    return _result(omega, value)
 
 
 @lru_cache(maxsize=16)
@@ -184,43 +205,64 @@ def _gram_taps(N: int, nu: float, delta: float, M: int):
     return gram_n1_weights(N, nu, delta, M)
 
 
-def hahn_truncated_transfer(params: HahnFilterParams, omega: float) -> complex:
+def hahn_truncated_transfer(
+    params: HahnFilterParams, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Response of the deliverable filter: backward history cut at M taps.
 
     Finite Fourier sum of the actual tap set (first-order flat-weight
     scheme only, where the taps have closed Gamma-ratio forms).  Tends to
     hahn_transfer as M grows; at omega = 0 it exposes the residual DC gain
-    that the truncation leaves behind."""
+    that the truncation leaves behind.
+
+    The sum is two polynomials evaluated by Horner's rule, the backward
+    taps in z = e^(i w delta) and the forward taps in 1/z, so an array of
+    P frequencies costs O(P (M + N)) time and O(P) memory."""
     if params.n != 1 or params.alpha != 0.0 or params.beta != 0.0:
         raise ValidationError(
             "truncated response is implemented for the first-order flat-weight "
             "scheme (n = 1, alpha = beta = 0)"
         )
     w = _gram_taps(params.N, params.nu, params.delta, params.M)
-    phase = 1j * omega * params.delta
-    back = np.exp(phase * np.arange(1, w.backward.size + 1))
-    fore = np.exp(-phase * np.arange(w.forward.size))
-    return w.prefactor * complex(w.backward @ back + w.forward @ fore)
+    phase = 1j * np.asarray(omega, dtype=float) * params.delta
+    z = np.exp(phase)
+    back = z * _horner(w.backward, z)
+    fore = _horner(w.forward, np.exp(-phase))
+    return _result(omega, w.prefactor * (back + fore))
 
 
-def gl_transfer(nu: float, delta: float, omega: float) -> complex:
+def _horner(coefficients: np.ndarray, z):
+    """sum_k coefficients[k] z^k for a scalar or an array z.
+
+    Written out rather than np.polyval, which turns a scalar z into a 0-d
+    array and then pays about 1 us per coefficient."""
+    acc = 0.0
+    for c in coefficients[::-1].tolist():
+        acc = acc * z + c
+    return acc
+
+
+def gl_transfer(
+    nu: float, delta: float, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Backward-difference response ((1 - e^(i w delta))/delta)^nu; tends
     to (-i w)^nu as delta -> 0."""
     if not delta > 0.0:
         raise ValidationError(f"step must be positive, got {delta:g}")
-    return complex_power((1.0 - cmath.exp(1j * omega * delta)) / delta, nu)
+    return complex_power((1.0 - np.exp(1j * np.asarray(omega) * delta)) / delta, nu)
 
 
 def butterworth_fractional_transfer(
-    nu: float, n: int, omega0: float, omega: float
-) -> complex:
+    nu: float, n: int, omega0: float, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Fractional differentiator shaped by a 2n-pole low-pass roll-off:
     (-i w)^nu / (1 + (w/w0)^(2n))."""
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError(f"filter order n must be a positive integer, got {n!r}")
     if not omega0 > 0.0:
         raise ValidationError(f"corner frequency must be positive, got {omega0:g}")
-    return complex_power(-1j * omega, nu) / (1.0 + (omega / omega0) ** (2 * n))
+    w = np.asarray(omega, dtype=float)
+    return _result(omega, complex_power(-1j * w, nu) / (1.0 + (w / omega0) ** (2 * n)))
 
 
 def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
@@ -304,12 +346,25 @@ def filter_metrics(params: HahnFilterParams) -> FilterMetrics:
 def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
     """Evaluate a transfer closure over the grid.
 
-    Failures (unsupported frequency range, branch problems) poison the
-    individual point, flagged with the reason, rather than shortening the
-    output: a sweep always has exactly one sample per grid frequency."""
+    The closure is first called once with the whole frequency array.  If
+    that call raises (a FracfiltError for some point, or the TypeError /
+    ValueError of a closure written for scalars) or returns something
+    other than one value per grid point, every frequency is evaluated on
+    its own instead.  There failures (unsupported frequency range, branch
+    problems) poison the individual point, flagged with the reason, rather
+    than shortening the output: a sweep always has exactly one sample per
+    grid frequency."""
+    try:
+        values = np.asarray(transfer(grid.points), dtype=complex)
+    except (FracfiltError, TypeError, ValueError):
+        values = None
+    if values is not None and values.shape == grid.points.shape:
+        return [
+            TransferSample(omega=w, value=v)
+            for w, v in zip(grid.points.tolist(), values.tolist())
+        ]
     out: list[TransferSample] = []
-    for w in grid.points:
-        w = float(w)
+    for w in grid.points.tolist():
         try:
             out.append(TransferSample(omega=w, value=complex(transfer(w))))
         except FracfiltError as exc:
@@ -349,9 +404,7 @@ def fit_loglog_slope(
 def write_sweep_text(samples, destination, metadata: dict | None = None) -> None:
     """Columnar text: omega, Re H, Im H, |H|, arg H, valid flag, with the
     run metadata as leading comment lines."""
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="ascii") if own else destination
-    try:
+    with _open_text(destination) as stream:
         for key in sorted(metadata or {}):
             stream.write(f"# {key} = {metadata[key]}\n")
         stream.write("# columns: omega re_h im_h abs_h arg_h valid\n")
@@ -360,9 +413,6 @@ def write_sweep_text(samples, destination, metadata: dict | None = None) -> None
                 f"{s.omega!r} {s.value.real!r} {s.value.imag!r} "
                 f"{s.modulus!r} {s.phase!r} {int(s.valid)}\n"
             )
-    finally:
-        if own:
-            stream.close()
 
 
 def write_sweep_json(samples, destination, metadata: dict) -> None:
@@ -384,11 +434,6 @@ def write_sweep_json(samples, destination, metadata: dict) -> None:
             for s in samples
         ],
     }
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="ascii") if own else destination
-    try:
-        json.dump(doc, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if own:
-            stream.close()
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    with _open_text(destination) as stream:
+        stream.write(text + "\n")

@@ -10,7 +10,12 @@ import pytest
 from fracfilt import cli
 from fracfilt.errors import PoleError, ValidationError
 from fracfilt.fracops import SampledSignal
-from fracfilt.hahn import HahnFilterParams, apply_discrete_filter, hahn_weights
+from fracfilt.hahn import (
+    HahnFilterParams,
+    apply_discrete_filter,
+    gram_n1_weights,
+    hahn_weights,
+)
 from fracfilt.transfer import truncated_dc_gain
 
 HALF_DERIVATIVE_OF_SQUARE = 1.5045055561273502
@@ -341,6 +346,35 @@ class TestMetricsMode:
         )
         assert code == 1
         assert "covers families gram and hahn" in err
+
+
+class TestLargeGammaArguments:
+    """Gamma arguments between 142 and 171 are finite doubles; designs
+    that need them must run, not die with an overflow traceback."""
+
+    def test_metrics_with_history_near_the_lgamma_switch(self, capsys):
+        code, stdout, _ = run(
+            ["metrics", "--family", "gram", "--nu", "0.5", "--delta", "1e-3",
+             "--N", "7", "--M", "150"],
+            capsys,
+        )
+        assert code == 0
+        report = dict(line.split(" = ", 1) for line in stdout.strip().splitlines())
+        w = gram_n1_weights(7, 0.5, 1e-3, 150)
+        taps = w.prefactor * np.concatenate([w.forward, w.backward])
+        assert abs(float(report["h_zero"]) - abs(taps.sum())) <= 1e-10 * np.abs(taps).sum()
+
+    def test_hahn_sweep_with_a_wide_window(self, tmp_path, capsys):
+        out = tmp_path / "h.txt"
+        code, _, _ = run(
+            ["sweep", "--family", "hahn", "--nu", "0.5", "--delta", "1e-3",
+             "--N", "145", "-o", str(out)],
+            capsys,
+        )
+        assert code == 0
+        data = [l.split() for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(data) == 121
+        assert all(row[5] == "1" and math.isfinite(float(row[3])) for row in data)
 
 
 class TestExitCodes:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfilt.errors import ValidationError
 from fracfilt.fracops import SampledSignal, gl_coefficients
@@ -22,8 +24,11 @@ from fracfilt.hahn import (
     hahn_weight_function,
     hahn_weights,
     j1_weight,
+    _falling_ratio,
+    _j1_lead,
+    _j1_series,
 )
-from fracfilt.specfun import pochhammer
+from fracfilt.specfun import gamma, pochhammer
 
 
 def full_taps(w: FilterWeights) -> np.ndarray:
@@ -191,6 +196,72 @@ class TestTapConstruction:
             gram_n1_weights(4, 0.5, 0.0, 8)
         with pytest.raises(ValidationError):
             gram_n1_weights(4, 0.5, 1.0, 0)
+
+
+def gram_backward_loop(N, nu, M):
+    """gram_n1_weights' backward taps as one scalar loop over m: the
+    reference for the array build, which must keep its operation order."""
+    backward = np.empty(M)
+    a = gamma(2.0 - nu)
+    for m in range(1, M + 1):
+        s = 0.0
+        for k in range(N + 1):
+            e = (1.0 - nu) / (m + k)
+            s += e + s * e
+        backward[m - 1] = a * (2.0 * (N + 1.0) * (1.0 - nu) - (2.0 * m + N * nu) * s)
+        a *= (m - nu + 1.0) / m
+    return backward
+
+
+def hahn_backward_loop(p):
+    """hahn_weights' backward taps as one scalar loop over m (see above)."""
+    backward = np.empty(p.M)
+    lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
+    ratio = _falling_ratio(p.nu, p.n)
+    for m in range(1, p.M + 1):
+        ratio *= (m + p.n - 1.0 - p.nu) / (m + p.n)
+        backward[m - 1] = lead * ratio * _j1_series(p, m)
+    return backward
+
+
+TAP_SHAPES = [(1, 1, 0.5), (1, 64, 0.0), (2, 256, 1.0), (4, 1024, 0.5),
+              (7, 150, 0.3), (16, 4096, 0.9), (64, 4096, 0.01), (64, 4096, 0.73)]
+
+
+class TestVectorisedTaps:
+    @pytest.mark.parametrize("N,M,nu", TAP_SHAPES)
+    def test_gram_backward_is_bit_identical_to_the_loop(self, N, M, nu):
+        w = gram_n1_weights(N, nu, 0.01, M)
+        assert np.array_equal(w.backward, gram_backward_loop(N, nu, M))
+
+    @pytest.mark.parametrize("N,M,nu", TAP_SHAPES)
+    def test_hahn_backward_is_bit_identical_to_the_loop(self, N, M, nu):
+        p = HahnFilterParams(alpha=0.0, beta=0.0, N=N, n=1, nu=nu, delta=0.01, M=M)
+        assert np.array_equal(hahn_weights(p).backward, hahn_backward_loop(p))
+
+    @pytest.mark.parametrize("alpha,beta,N,n,nu,M", [
+        (0.5, 0.5, 16, 1, 0.5, 529), (0.3, 1.1, 6, 2, 1.3, 300), (2.0, 0.0, 9, 3, 2.5, 64),
+        (0.0, 0.0, 4, 4, 3.2, 32),
+    ])
+    def test_weighted_hahn_backward_is_bit_identical(self, alpha, beta, N, n, nu, M):
+        p = HahnFilterParams(alpha=alpha, beta=beta, N=N, n=n, nu=nu, delta=0.5, M=M)
+        assert np.array_equal(hahn_weights(p).backward, hahn_backward_loop(p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(1, 20),
+        M=st.integers(1, 300),
+        nu=st.floats(0.0, 1.0),
+        delta=st.floats(1e-4, 10.0),
+    )
+    def test_hahn_equals_gram_at_flat_weight_first_order(self, N, M, nu, delta):
+        """The paper's collapse: at alpha = beta = 0, n = 1 the general Hahn
+        taps are the closed-form Gram taps."""
+        p = HahnFilterParams(alpha=0.0, beta=0.0, N=N, n=1, nu=nu, delta=delta, M=M)
+        general = full_taps(hahn_weights(p))
+        closed = full_taps(gram_n1_weights(N, nu, delta, M))
+        scale = np.abs(general).max()
+        np.testing.assert_allclose(closed, general, rtol=0, atol=1e-12 * scale)
 
 
 class TestApplyDiscreteFilter:

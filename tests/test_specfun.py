@@ -238,6 +238,92 @@ class TestKummer:
             kummer_m(0.7, 0.0, 1.0)
 
 
+class TestArrayArguments:
+    """Array arguments give one value per point, each as accurate as the
+    scalar call, and an array call raises whenever one of its points would."""
+
+    def test_terminating_2f1_on_the_unit_circle(self):
+        z = np.exp(-1j * np.linspace(0.01, math.pi, 25))
+        got = hyp2f1(-6.0, 2.5, -9.5, z)
+        assert got.shape == z.shape
+        for zi, g in zip(z, got):
+            ref = _mp(mpmath.hyp2f1, -6.0, 2.5, -9.5, complex(zi))
+            scale = _mp(mpmath.hyp2f1, -6.0, 2.5, -9.5, 1.0).real  # sum of |terms|
+            assert abs(g - ref) <= 1e-14 * abs(scale)
+
+    def test_terminating_at_index_zero_keeps_the_shape(self):
+        z = np.array([0.3, 2.0, -7.0])
+        np.testing.assert_array_equal(hyp2f1(0.0, 1.5, 2.5, z), np.ones(3))
+
+    def test_direct_2f1_series_converges_per_point(self):
+        # points a few terms apart and points needing hundreds of terms
+        z = np.array([1e-3, 0.2j, -0.5, 0.9, 0.94 * np.exp(2j)])
+        got = hyp2f1(0.3, 1.7, 2.9, z)
+        for zi, g in zip(z, got):
+            ref = _mp(mpmath.hyp2f1, 0.3, 1.7, 2.9, complex(zi))
+            assert g == pytest.approx(ref, rel=1e-13)
+            assert g == pytest.approx(hyp2f1(0.3, 1.7, 2.9, complex(zi)), rel=1e-14)
+
+    def test_2f1_array_outside_the_disk_raises(self):
+        with pytest.raises(DomainError):
+            hyp2f1(0.3, 1.7, 2.9, np.array([0.5, 0.97]))
+
+    def test_kummer_takes_each_point_down_its_own_branch(self):
+        z = np.array([5.0, -30.0, 2j, 20j, -3.0 + 4.0j, 45.0, 0.0])
+        got = kummer_m(2.5, 6.0, z)
+        for zi, g in zip(z, got):
+            ref = _mp(mpmath.hyp1f1, 2.5, 6.0, complex(zi))
+            rtol = 1e-8 if zi == 20j else 5e-13    # oscillatory series near the cap
+            assert g == pytest.approx(ref, rel=rtol)
+
+    def test_kummer_terminating_array(self):
+        z = np.array([8.0, -3.0, 4j])
+        got = kummer_m(-2.0, 3.0, z)
+        for zi, g in zip(z, got):
+            assert g == pytest.approx(_mp(mpmath.hyp1f1, -2.0, 3.0, complex(zi)), rel=1e-13)
+
+    def test_kummer_cap_covers_every_point(self):
+        with pytest.raises(DomainError):
+            kummer_m(1.0, 2.0, np.array([1j, 10j, 60j]))
+
+    def test_complex_power_array(self):
+        z = np.array([1.0 + 2.0j, -3.0 + 0.4j, 0.0, 2.0, -1.0, -3.0 - 0.4j])
+        got = complex_power(z, 0.5, CutSide.MINUS_I0)
+        assert got.dtype == complex and got.shape == z.shape
+        for zi, g in zip(z, got):
+            assert g == pytest.approx(complex_power(complex(zi), 0.5, CutSide.MINUS_I0),
+                                      rel=1e-15, abs=1e-300)
+        assert got[4] == pytest.approx(-1j, abs=1e-15)
+
+    def test_complex_power_array_validation(self):
+        with pytest.raises(ValidationError):
+            complex_power(np.array([1.0 + 1.0j, -2.0]), 0.5)
+        with pytest.raises(DomainError):
+            complex_power(np.array([1.0, 0.0]), -0.5)
+        np.testing.assert_array_equal(complex_power(np.array([0.0, 0.0]), 0.0), [1.0, 1.0])
+
+    def test_3f2_with_array_parameters(self):
+        a3 = np.array([0.5, 2.25, 7.0])
+        b2 = np.array([1.5, 3.0, 9.0])
+        got = hyp3f2_unit(-4.0, 1.3, a3, 3.7, b2)
+        for x, y, g in zip(a3, b2, got):
+            assert g == hyp3f2_unit(-4.0, 1.3, float(x), 3.7, float(y))
+        with pytest.raises(DomainError):
+            hyp3f2_unit(-5.0, 1.3, a3, 3.7, np.array([1.0, -2.0, 3.0]))
+
+
+class TestGammaRange:
+    def test_large_finite_arguments(self):
+        for x in (142.5, 150.0, 160.5, 171.0):
+            ref = _mp(mpmath.gamma, x).real
+            assert gamma(x) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [171.7, 500.0, 1e-320])
+    def test_overflow_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            gamma(x)
+
+
 class TestHyp3f2Unit:
     def test_matches_mpmath(self):
         ref = _mp(mpmath.hyp3f2, -4.0, 1.3, 2.1, 3.7, 0.9, 1.0).real

@@ -36,7 +36,7 @@ from fracfilt.hahn import (
     hahn_polynomial,
     hahn_weight_function,
 )
-from fracfilt.specfun import complex_power
+from fracfilt.specfun import complex_power, kummer_m
 
 # truncated_dc_gain(7, 1/2, 1, M) evaluated in 50-digit arithmetic from
 # the raw Gamma-ratio tap sums
@@ -326,6 +326,137 @@ class TestSweep:
 
         with pytest.raises(RuntimeError):
             sweep(broken, FrequencyGrid.linear(1.0, 2.0, 3))
+
+
+def _nyquist_grid(delta, points=1000):
+    return FrequencyGrid.logarithmic(1e-4 * math.pi / delta, math.pi / delta, points)
+
+
+class TestArrayFrequencies:
+    """Every transfer function takes an omega array and agrees with an
+    independent route at each point.  Errors are measured against the sum
+    of the moduli of the terms each route adds up, not against |H|: the
+    flat-weight responses vanish at omega delta = pi, where the sums
+    cancel to zero."""
+
+    @pytest.mark.parametrize("N,M,nu,delta", [(7, 64, 0.5, 1.0), (16, 4096, 0.9, 1e-3),
+                                              (64, 4096, 0.05, 0.1)])
+    def test_truncated_response_against_the_direct_tap_sum(self, N, M, nu, delta):
+        p = _flat_params(N, nu, delta=delta, M=M)
+        omega = _nyquist_grid(delta).points
+        got = hahn_truncated_transfer(p, omega)
+        w = gram_n1_weights(N, nu, delta, M)
+        scale = abs(w.prefactor) * (np.abs(w.backward).sum() + np.abs(w.forward).sum())
+        for om, h in zip(omega[::7], got[::7]):
+            phase = 1j * om * delta
+            direct = w.prefactor * (
+                w.backward @ np.exp(phase * np.arange(1, M + 1))
+                + w.forward @ np.exp(-phase * np.arange(N + 1))
+            )
+            assert abs(h - direct) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("alpha,beta,N,n,nu,delta", [
+        (0.0, 0.0, 4, 1, 0.5, 1.0), (0.0, 0.0, 16, 1, 0.3, 1e-3),
+        (0.5, 1.5, 7, 2, 1.3, 0.1),
+    ])
+    def test_exact_response_against_the_brute_force_sum(self, alpha, beta, N, n, nu, delta):
+        p = HahnFilterParams(alpha=alpha, beta=beta, N=N, n=n, nu=nu, delta=delta, M=1)
+        omega = _nyquist_grid(delta).points
+        got = hahn_transfer(p, omega)
+        assert isinstance(got, np.ndarray) and got.shape == omega.shape
+        terms = np.array([
+            hahn_polynomial(n, float(x), alpha, beta, N)
+            * hahn_weight_function(x, alpha, beta, N)
+            * np.exp(-1j * x * delta * omega)
+            for x in range(N + 1)
+        ])
+        diff = (1.0 - np.exp(1j * omega * delta)) / delta
+        outer = (hahn_normalization(alpha, beta, N, n) * delta ** -n
+                 * complex_power(diff, nu - n))
+        brute = outer * terms.sum(axis=0)
+        scale = np.abs(outer) * np.abs(terms).sum(axis=0)
+        assert np.all(np.abs(got - brute) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("nu,delta", [(0.5, 1.0), (0.05, 1e-3), (0.95, 0.3)])
+    def test_jacobi_response_against_the_bessel_form(self, nu, delta):
+        p = JacobiKernelParams(alpha=0.0, beta=0.0, n=1, nu=nu, delta=delta)
+        omega = _nyquist_grid(delta).points
+        got = jacobi_transfer(p, omega)
+        ref = legendre_transfer(1, nu, delta, omega)
+        # sum of |terms| of M(2, 4; 2 i w delta) is M(2, 4; 2 w delta)
+        scale = omega ** nu * kummer_m(2.0, 4.0, 2.0 * omega * delta)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    def test_array_matches_scalar_calls(self):
+        omega = np.array([1e-3, 0.7, 2.0, 3.1])
+        hp = _flat_params(5, 0.4, M=200)
+        jp = JacobiKernelParams(alpha=0.3, beta=0.7, n=2, nu=1.2, delta=1.0)
+        cases = [
+            lambda w: ideal_transfer(0.5, w, Convention.RIEMANN_LIOUVILLE),
+            lambda w: jacobi_transfer(jp, w, Convention.RIEMANN_LIOUVILLE),
+            lambda w: legendre_transfer(3, 0.5, 1.0, w),
+            lambda w: hahn_transfer(hp, w),
+            lambda w: hahn_truncated_transfer(hp, w),
+            lambda w: gl_transfer(0.5, 1.0, w),
+            lambda w: butterworth_fractional_transfer(0.5, 3, 1.0, w),
+        ]
+        for f in cases:
+            arr = f(omega)
+            assert isinstance(arr, np.ndarray) and arr.dtype == complex
+            for w, h in zip(omega, arr):
+                one = f(float(w))
+                assert type(one) is complex
+                assert h == pytest.approx(one, rel=1e-13, abs=1e-300)
+
+
+class TestSweepArrayPath:
+    def test_array_capable_closure_is_called_once(self):
+        calls = []
+
+        def closure(w):
+            calls.append(np.shape(w))
+            return ideal_transfer(0.5, w, Convention.WEYL)
+
+        grid = FrequencyGrid.logarithmic(0.1, 10.0, 50)
+        samples = sweep(closure, grid)
+        assert calls == [(50,)]
+        assert all(s.valid and type(s.value) is complex for s in samples)
+
+    def test_scalar_only_closure_falls_back_per_point(self):
+        grid = FrequencyGrid.linear(0.5, 3.0, 11)
+        samples = sweep(lambda w: cmath.exp(1j * w), grid)
+        assert len(samples) == 11 and all(s.valid for s in samples)
+        for s in samples:
+            assert s.value == cmath.exp(1j * s.omega)
+
+    def test_misshaped_result_falls_back_per_point(self):
+        samples = sweep(lambda w: 2.0, FrequencyGrid.linear(1.0, 2.0, 4))
+        assert [s.value for s in samples] == [2.0 + 0j] * 4
+
+    def test_partly_poisoned_array_keeps_points_and_notes(self):
+        p = JacobiKernelParams(alpha=0.0, beta=0.0, n=1, nu=0.5, delta=1.0)
+        grid = FrequencyGrid.logarithmic(1.0, 50.0, 40)
+        samples = sweep(lambda w: jacobi_transfer(p, w), grid)
+        for s in samples:
+            try:
+                expected = jacobi_transfer(p, s.omega)
+            except FracfiltError as exc:
+                assert not s.valid and s.note == str(exc)
+                assert math.isnan(s.value.real) and math.isnan(s.value.imag)
+            else:
+                assert s.valid and s.note == "" and s.value == expected
+        assert 0 < sum(not s.valid for s in samples) < 40
+
+    def test_array_and_per_point_sweeps_agree(self):
+        p = _flat_params(16, 0.3, delta=1e-3, M=4096)
+        grid = _nyquist_grid(1e-3, 200)
+        for f in (hahn_transfer, hahn_truncated_transfer):
+            arr = sweep(lambda w: f(p, w), grid)
+            one = sweep(lambda w: f(p, float(w)), grid)   # scalars only
+            scale = max(abs(s.value) for s in one)
+            for a, b in zip(arr, one):
+                assert a.omega == b.omega and a.valid and b.valid
+                assert abs(a.value - b.value) <= 1e-12 * scale
 
 
 class TestFitLoglogSlope:
