@@ -19,7 +19,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import math
 import sys
@@ -156,40 +155,53 @@ def _default_run_id(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------- filter
 
 
-def _is_number(token: str) -> bool:
+# a row of only these characters holds no sample: whitespace, separators
+# and the quotes of empty quoted cells
+_BLANK_ROW = ' \t\r\n\v\f,"'
+
+
+def _parse_rows(lines, dtype=float) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=2, comments=None,
+                      quotechar='"')
+
+
+def _is_header(line: str) -> bool:
+    """Whether the row's first cell is not a number (float() decides)."""
     try:
-        float(token)
+        float(_parse_rows([line], str)[0, 0])
     except ValueError:
-        return False
-    return True
+        return True
+    return False
 
 
 def read_signal_file(path: str):
     """CSV (x, value[, valid]) -> (x, values, valid-or-None).
 
-    A leading non-numeric row is treated as the header.  Every float is
-    kept exactly as parsed, so writing the arrays back out reproduces the
-    file byte for byte."""
-    rows: list[list[str]] = []
-    with open(path, newline="", encoding="ascii") as fh:
-        for rec in csv.reader(fh):
-            if not rec or all(not cell.strip() for cell in rec):
-                continue
-            if not rows and not _is_number(rec[0]):
-                continue  # header
-            rows.append(rec)
-    if not rows:
+    Leading rows whose first cell is not a number are headers; rows of
+    only separators and whitespace are skipped.  numpy's reader parses
+    every float with CPython's string-to-double, so writing the arrays
+    back out reproduces the file byte for byte; unlike float() it refuses
+    digit-grouping underscores."""
+    with open(path, encoding="ascii") as fh:
+        lines = [line for line in fh if line.strip(_BLANK_ROW)]
+    start = 0
+    while start < len(lines) and _is_header(lines[start]):
+        start += 1
+    if start == len(lines):
         raise ValidationError(f"{path}: no samples found")
-    width = len(rows[0])
-    if width not in (2, 3) or any(len(r) != width for r in rows):
-        raise ValidationError(f"{path}: expected uniform rows of 2 or 3 columns")
     try:
-        x = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        valid = np.array([int(float(r[2])) for r in rows]) if width == 3 else None
+        table = _parse_rows(lines[start:])
     except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric sample: {exc}") from None
-    return x, values, valid
+        raise ValidationError(f"{path}: unreadable samples: {exc}") from None
+    if table.shape[1] not in (2, 3):
+        raise ValidationError(f"{path}: expected uniform rows of 2 or 3 columns")
+    columns = table.T.copy()  # one contiguous array per column
+    valid = None
+    if columns.shape[0] == 3:
+        if not np.all(np.abs(columns[2]) < 2.0 ** 63):  # nan and inf fail too
+            raise ValidationError(f"{path}: valid flag not finite or beyond 64 bits")
+        valid = columns[2].astype(np.int64)
+    return columns[0], columns[1], valid
 
 
 def write_signal_file(path: str, x, values, valid=None) -> None:

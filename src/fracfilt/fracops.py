@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, PoleError, ValidationError
 from .specfun import gamma
@@ -152,6 +151,8 @@ def rl_integral_numeric(f, mu: float, x: float, lower: float) -> float:
     def regular(t: float) -> float:
         return f(x - t ** inv_mu)
 
+    from scipy import integrate
+
     value, err = integrate.quad(regular, 0.0, span, limit=200)
     norm = mu * gamma(mu)
     value /= norm
@@ -167,16 +168,13 @@ def rl_integral_numeric(f, mu: float, x: float, lower: float) -> float:
 def gl_coefficients(nu: float, count: int) -> np.ndarray:
     """First `count` backward-difference coefficients (-nu)_k / k!.
 
-    Computed by the recurrence c_0 = 1, c_k = c_{k-1} (k-1-nu)/k, which is
-    stable, overflow-free, and terminates exactly at integer nu.
+    Computed as the running product c_0 = 1, c_k = c_{k-1} * ((k-1-nu)/k),
+    which is stable, overflow-free, and terminates exactly at integer nu.
     """
     if count < 1:
         raise ValidationError(f"need at least one coefficient, got count = {count}")
-    c = np.empty(count)
-    c[0] = 1.0
-    for k in range(1, count):
-        c[k] = c[k - 1] * (k - 1.0 - nu) / k
-    return c
+    k = np.arange(1, count)
+    return np.multiply.accumulate(np.concatenate(([1.0], (k - 1.0 - nu) / k)))
 
 
 def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -> float:

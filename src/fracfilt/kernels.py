@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-from scipy.special import eval_jacobi, roots_jacobi
-
 from .errors import ConvergenceError, DomainError, GrowthError, ValidationError
 from .specfun import SQRT_TWO_PI, gamma, hyp2f1, kummer_m, rgamma
 
@@ -191,6 +188,8 @@ class KernelApplication:
 
 
 def _quad(f, lo: float, hi: float) -> float:
+    from scipy import integrate
+
     value, _ = integrate.quad(f, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-10)
     return value
 
@@ -285,6 +284,8 @@ def orthogonal_derivative(
         )
     if not delta > 0.0:
         raise ValidationError(f"step must be positive, got {delta:g}")
+    from scipy.special import eval_jacobi, roots_jacobi
+
     coeff = (
         gamma(2.0 * n + alpha + beta + 2.0) * gamma(n + 1.0)
         / (2.0 ** (n + alpha + beta + 1.0) * gamma(n + alpha + 1.0) * gamma(n + beta + 1.0))
@@ -321,6 +322,8 @@ def oracle_double_integral(f, params: JacobiKernelParams, x: float) -> float:
     if mu == 0.0:
         smoothed = f
     else:
+        from scipy import integrate
+
         inv_mu = 1.0 / mu
         norm = mu * gamma(mu)
 

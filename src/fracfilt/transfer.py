@@ -415,25 +415,35 @@ def write_sweep_text(samples, destination, metadata: dict | None = None) -> None
             )
 
 
+# One sample of write_sweep_json's document, laid out as json.dumps(...,
+# indent=2, sort_keys=True) lays it out; json's indenting encoder is pure
+# Python and takes about twice as long.
+_JSON_SAMPLE = (
+    '    {{\n      "abs": {},\n      "arg": {},\n      "im": {},\n      "note": {},\n'
+    '      "omega": {},\n      "re": {},\n      "valid": {}\n    }}'
+)
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0.0 else "-Infinity")
+
+
 def write_sweep_json(samples, destination, metadata: dict) -> None:
     """Same data as the text writer plus per-point notes, as one JSON
     document.  Content is a pure function of inputs: no timestamps, and
     the run id comes in through the metadata."""
-    doc = {
-        "metadata": metadata,
-        "samples": [
-            {
-                "omega": s.omega,
-                "re": s.value.real,
-                "im": s.value.imag,
-                "abs": s.modulus,
-                "arg": s.phase,
-                "valid": s.valid,
-                "note": s.note,
-            }
-            for s in samples
-        ],
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    body = ",\n".join(
+        _JSON_SAMPLE.format(
+            _json_float(s.modulus), _json_float(s.phase), _json_float(s.value.imag),
+            json.dumps(s.note), _json_float(s.omega), _json_float(s.value.real),
+            "true" if s.valid else "false",
+        )
+        for s in samples
+    )
+    head = json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+    listing = f"[\n{body}\n  ]" if body else "[]"
     with _open_text(destination) as stream:
-        stream.write(text + "\n")
+        stream.write(f'{{\n  "metadata": {head},\n  "samples": {listing}\n}}\n')

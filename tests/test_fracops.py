@@ -170,6 +170,24 @@ class TestGlCoefficients:
         with pytest.raises(ValidationError):
             gl_coefficients(0.5, 0)
 
+    @pytest.mark.parametrize("nu", [0.01, 0.3, 0.5, 0.7, 0.99, 1.5, -0.5])
+    def test_running_product_matches_the_recurrence_loop(self, nu):
+        """The accumulate form rounds each step as c_{k-1} * ((k-1-nu)/k)
+        instead of (c_{k-1} (k-1-nu))/k.  The two roundings differ by about
+        one ulp per step and wander apart like sqrt(15000) * eps ~ 1.4e-14;
+        1e-13 leaves a margin of seven."""
+        count = 15000
+        loop = np.empty(count)
+        loop[0] = 1.0
+        for k in range(1, count):
+            loop[k] = loop[k - 1] * (k - 1.0 - nu) / k
+        np.testing.assert_allclose(gl_coefficients(nu, count), loop, rtol=1e-13, atol=0.0)
+
+    def test_integer_orders_end_in_exact_zeros(self):
+        for nu in range(5):
+            c = gl_coefficients(float(nu), 12)
+            assert np.all(c[nu + 1:] == 0.0) and np.all(c[:nu + 1] != 0.0)
+
 
 class TestGlDifference:
     def test_first_derivative_of_ramp(self):

@@ -139,6 +139,37 @@ class TestComplexPower:
         lhs = complex_power(z, 0.4) * complex_power(z, 1.1)
         assert lhs == pytest.approx(complex_power(z, 1.5), rel=1e-13)
 
+    @pytest.mark.parametrize("z, nu, side", [
+        (0.0, 1.5, None), (0.0, 0.0, None),
+        (-1.0, 0.5, CutSide.PLUS_I0), (-2.5, 0.3, CutSide.MINUS_I0),
+        (-2.5, 1.7, CutSide.PLUS_I0), (-0.0 + 3.0j, -0.4, None),
+    ])
+    def test_scalar_path_matches_the_array_path(self, z, nu, side):
+        """A scalar z, also as a 0-d array or numpy scalar, goes through
+        cmath; at z = 0 and on the cut it must give what the array path
+        gives for the same point."""
+        expected = complex_power(np.array([z, 1.0]), nu, side)[0]
+        for scalar in (z, np.asarray(z), np.complex128(z)):
+            got = complex_power(scalar, nu, side)
+            assert type(got) is complex
+            assert got == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+    def test_scalar_path_refuses_like_the_array_path(self):
+        for scalar in (0.0, np.asarray(0.0)):
+            with pytest.raises(DomainError):
+                complex_power(scalar, -0.5)
+        with pytest.raises(DomainError):
+            complex_power(np.array([0.0, 1.0]), -0.5)
+        for scalar in (-1.0, np.asarray(-1.0 + 0.0j)):
+            with pytest.raises(ValidationError):
+                complex_power(scalar, 0.5)
+        with pytest.raises(ValidationError):
+            complex_power(np.array([-1.0, 1.0]), 0.5)
+
+    def test_scalar_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            complex_power(1e308j, 2.0)
+
 
 class TestGaussHypergeometric:
     def test_terminating_is_the_polynomial(self):

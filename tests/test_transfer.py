@@ -524,3 +524,41 @@ class TestWriters:
         ref = self._samples()[0]
         assert first["omega"] == ref.omega
         assert first["abs"] == ref.modulus
+
+    @staticmethod
+    def _json_dumps_route(samples, metadata):
+        """The document as json.dumps writes it: the byte-level reference
+        for write_sweep_json's template writer."""
+        doc = {
+            "metadata": metadata,
+            "samples": [
+                {"omega": s.omega, "re": s.value.real, "im": s.value.imag,
+                 "abs": s.modulus, "arg": s.phase, "valid": s.valid, "note": s.note}
+                for s in samples
+            ],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("case", ["poisoned", "nested", "empty"])
+    def test_json_bytes_match_json_dumps(self, case):
+        samples = self._samples()
+        metadata = {"run_id": "abc123", "nu": 0.5, "family": "ideal"}
+        if case == "poisoned":
+            nan = complex(math.nan, math.nan)
+            samples += [
+                TransferSample(omega=20.0, value=nan, valid=False,
+                               note='kummer_m: |z| = "60" > 50'),
+                TransferSample(omega=30.0, value=complex(math.inf, -math.inf),
+                               valid=False, note="caf\u00e9 \u2013 \\ tab\there\n"),
+                TransferSample(omega=1e-300, value=complex(-0.0, 5e-324)),
+            ]
+            metadata["note"] = "quote \" and \u00fc"
+        elif case == "nested":
+            metadata.update(grid={"points": [0.1, 1.0, None], "kind": "log"},
+                            flags=[True, False], depth={"a": {"b": {}}, "c": []},
+                            big=1e300, tiny=-5e-324, count=3)
+        else:
+            samples = []
+        buf = io.StringIO()
+        write_sweep_json(samples, buf, metadata)
+        assert buf.getvalue() == self._json_dumps_route(samples, metadata)
