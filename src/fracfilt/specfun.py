@@ -19,7 +19,6 @@ scalar.  An array call raises if any of its points would.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
@@ -87,12 +86,6 @@ class CutSide(enum.Enum):
     MINUS_I0 = "-i0"
 
 
-_CUT_MESSAGE = (
-    "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
-    "side=CutSide.MINUS_I0 to pick a boundary value"
-)
-
-
 def complex_power(z, nu: float, side: CutSide | None = None):
     """z**nu on the branch -pi < arg z < pi, explicit about the cut.
 
@@ -105,19 +98,19 @@ def complex_power(z, nu: float, side: CutSide | None = None):
         (z - i0)^nu = e^{-i pi nu} (-z)^nu
 
     Off the cut ``side`` is ignored.  z = 0 maps to 0 for nu > 0 and 1 for
-    nu = 0; DomainError for nu < 0.  A scalar z (0-d arrays included) gives
-    a complex through cmath, an array z a complex array; an array with any
-    point on the cut needs ``side``.
+    nu = 0; DomainError for nu < 0.  A scalar z gives a complex, an array
+    z a complex array; an array with any point on the cut needs ``side``.
     """
-    if np.ndim(z) == 0:
-        return _scalar_power(complex(z), nu, side)
     z = np.asarray(z, dtype=complex)
     zero = z == 0
     cut = (z.imag == 0.0) & (z.real < 0.0)
     if nu < 0.0 and zero.any():
         raise DomainError("0**nu diverges for nu < 0")
     if side is None and cut.any():
-        raise ValidationError(_CUT_MESSAGE)
+        raise ValidationError(
+            "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
+            "side=CutSide.MINUS_I0 to pick a boundary value"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(nu * np.log(z))
         if zero.any():
@@ -125,24 +118,7 @@ def complex_power(z, nu: float, side: CutSide | None = None):
         if cut.any():
             sign = 1.0 if side is CutSide.PLUS_I0 else -1.0
             out = np.where(cut, (-z.real) ** nu * np.exp(sign * 1j * math.pi * nu), out)
-    return out
-
-
-def _scalar_power(z: complex, nu: float, side: CutSide | None) -> complex:
-    """complex_power for one point, without numpy's per-call overhead."""
-    if z == 0:
-        if nu < 0.0:
-            raise DomainError("0**nu diverges for nu < 0")
-        return 0j if nu > 0.0 else 1.0 + 0j
-    if z.imag == 0.0 and z.real < 0.0:
-        if side is None:
-            raise ValidationError(_CUT_MESSAGE)
-        sign = 1.0 if side is CutSide.PLUS_I0 else -1.0
-        return (-z.real) ** nu * cmath.exp(sign * 1j * math.pi * nu)
-    try:
-        return cmath.exp(nu * cmath.log(z))
-    except OverflowError:
-        raise DomainError(f"|z|**nu overflows double precision at z = {z}") from None
+    return complex(out) if out.ndim == 0 else out
 
 
 def _terminating_index(*tops) -> int | None:

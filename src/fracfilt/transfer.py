@@ -424,8 +424,14 @@ _JSON_SAMPLE = (
 )
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it."""
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it; bools and floats skip json's encoder."""
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if type(x) is not float:
+        return json.dumps(x)
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else ("Infinity" if x > 0.0 else "-Infinity")
@@ -437,9 +443,9 @@ def write_sweep_json(samples, destination, metadata: dict) -> None:
     the run id comes in through the metadata."""
     body = ",\n".join(
         _JSON_SAMPLE.format(
-            _json_float(s.modulus), _json_float(s.phase), _json_float(s.value.imag),
-            json.dumps(s.note), _json_float(s.omega), _json_float(s.value.real),
-            "true" if s.valid else "false",
+            _json_scalar(s.modulus), _json_scalar(s.phase), _json_scalar(s.value.imag),
+            json.dumps(s.note), _json_scalar(s.omega), _json_scalar(s.value.real),
+            _json_scalar(s.valid),
         )
         for s in samples
     )

@@ -145,9 +145,9 @@ class TestComplexPower:
         (-2.5, 1.7, CutSide.PLUS_I0), (-0.0 + 3.0j, -0.4, None),
     ])
     def test_scalar_path_matches_the_array_path(self, z, nu, side):
-        """A scalar z, also as a 0-d array or numpy scalar, goes through
-        cmath; at z = 0 and on the cut it must give what the array path
-        gives for the same point."""
+        """A scalar z, also as a 0-d array or numpy scalar, gives a complex
+        equal to what an array call gives for the same point at z = 0 and
+        on the cut."""
         expected = complex_power(np.array([z, 1.0]), nu, side)[0]
         for scalar in (z, np.asarray(z), np.complex128(z)):
             got = complex_power(scalar, nu, side)
@@ -165,10 +165,6 @@ class TestComplexPower:
                 complex_power(scalar, 0.5)
         with pytest.raises(ValidationError):
             complex_power(np.array([-1.0, 1.0]), 0.5)
-
-    def test_scalar_overflow_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            complex_power(1e308j, 2.0)
 
 
 class TestGaussHypergeometric:

@@ -539,7 +539,7 @@ class TestWriters:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("case", ["poisoned", "nested", "empty"])
+    @pytest.mark.parametrize("case", ["poisoned", "nested", "empty", "non-float"])
     def test_json_bytes_match_json_dumps(self, case):
         samples = self._samples()
         metadata = {"run_id": "abc123", "nu": 0.5, "family": "ideal"}
@@ -557,6 +557,14 @@ class TestWriters:
             metadata.update(grid={"points": [0.1, 1.0, None], "kind": "log"},
                             flags=[True, False], depth={"a": {"b": {}}, "c": []},
                             big=1e300, tiny=-5e-324, count=3)
+        elif case == "non-float":
+            # Hand-built samples may hold ints, numpy floats or a non-bool
+            # flag; they must come out as json.dumps writes them.
+            samples = [
+                TransferSample(omega=1, value=0j),
+                TransferSample(omega=2, value=3, valid=1),
+                TransferSample(omega=np.float64(0.1), value=complex(1.0, 2.0), valid=0),
+            ]
         else:
             samples = []
         buf = io.StringIO()
