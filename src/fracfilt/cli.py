@@ -97,26 +97,35 @@ def _to_bool(text: str) -> bool:
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
+def _read_ascii_lines(path: str) -> list[str]:
+    """The file's lines; a byte outside ASCII is a ValidationError."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ValidationError(f"{path}: not ASCII text (byte {bad:#04x})") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
     out: dict = {}
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONVERT:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                conv = _CONVERT[key]
-                out[key] = _to_bool(value) if conv is None else conv(value)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(_read_ascii_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONVERT:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            conv = _CONVERT[key]
+            out[key] = _to_bool(value) if conv is None else conv(value)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
@@ -182,8 +191,7 @@ def read_signal_file(path: str):
     every float with CPython's string-to-double, so writing the arrays
     back out reproduces the file byte for byte; unlike float() it refuses
     digit-grouping underscores."""
-    with open(path, encoding="ascii") as fh:
-        lines = [line for line in fh if line.strip(_BLANK_ROW)]
+    lines = [line for line in _read_ascii_lines(path) if line.strip(_BLANK_ROW)]
     start = 0
     while start < len(lines) and _is_header(lines[start]):
         start += 1

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleError, ValidationError
-from .specfun import gamma
+from .errors import ConvergenceError, ValidationError
+from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
 
 # rl_integral_numeric refuses to return a value whose quadrature error
 # estimate exceeds this relative level.
@@ -76,10 +76,6 @@ class SampledSignal:
         return self.x0 + index * self.delta
 
 
-def _nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
-
-
 def _gamma_ratio(top: float, bottom: float) -> float:
     """Gamma(top)/Gamma(bottom) with pole bookkeeping.
 
@@ -88,17 +84,10 @@ def _gamma_ratio(top: float, bottom: float) -> float:
     Gamma(1-bottom)/Gamma(1-top); a pole in the numerator alone is a real
     singularity and raises PoleError.
     """
-    top_pole = _nonpositive_int(top)
-    bottom_pole = _nonpositive_int(bottom)
-    if top_pole and bottom_pole:
-        k = round(bottom - top)
-        sign = -1.0 if k % 2 else 1.0
-        return sign * gamma(1.0 - bottom) / gamma(1.0 - top)
-    if top_pole:
-        raise PoleError(f"gamma ratio G({top:g})/G({bottom:g}) is singular")
-    if bottom_pole:
-        return 0.0
-    return gamma(top) / gamma(bottom)
+    if _nonpositive_int(top) and _nonpositive_int(bottom):
+        sign = -1.0 if round(bottom - top) % 2 else 1.0
+        return sign * gamma_ratio((1.0 - bottom,), (1.0 - top,))
+    return gamma_ratio((top,), (bottom,))
 
 
 def rl_power(alpha: float, mu: float, x: float, extended: bool = False) -> float:
@@ -173,8 +162,7 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValidationError(f"need at least one coefficient, got count = {count}")
-    k = np.arange(1, count)
-    return np.multiply.accumulate(np.concatenate(([1.0], (k - 1.0 - nu) / k)))
+    return pochhammer_ratios(-nu, count - 1)
 
 
 def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._textio import _open_text
 from .errors import ValidationError
-from .specfun import gamma, hyp3f2_unit
+from .specfun import gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
 
 MAX_DEFAULT_HISTORY = 4096
 
@@ -98,23 +98,6 @@ class FilterWeights:
             raise ValidationError("backward taps must form a 1-d array")
 
 
-def _poch_over_factorial(a: float, k: int) -> float:
-    """(a)_k / k! as a running product; safe where either factor alone
-    would overflow."""
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (a + i - 1.0) / i
-    return out
-
-
-def _falling_ratio(nu: float, k: int) -> float:
-    """(-nu)_k / k!, the fractional binomial coefficient."""
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (i - 1.0 - nu) / i
-    return out
-
-
 def hahn_polynomial(n: int, j: float, alpha: float, beta: float, N: int) -> float:
     """Q_n(j) = 3F2(-n, n+alpha+beta+1, -j; alpha+1, -N; 1)."""
     if not 0 <= n <= N:
@@ -126,7 +109,7 @@ def hahn_weight_function(j: int, alpha: float, beta: float, N: int) -> float:
     """Discrete orthogonality weight (alpha+1)_j (beta+1)_{N-j} / (j! (N-j)!)."""
     if not 0 <= j <= N:
         raise ValidationError(f"support point j = {j} outside 0..N = {N}")
-    return _poch_over_factorial(alpha + 1.0, j) * _poch_over_factorial(beta + 1.0, N - j)
+    return pochhammer_ratios(alpha + 1.0, j)[j] * pochhammer_ratios(beta + 1.0, N - j)[N - j]
 
 
 def hahn_normalization(alpha: float, beta: float, N: int, n: int) -> float:
@@ -136,23 +119,16 @@ def hahn_normalization(alpha: float, beta: float, N: int, n: int) -> float:
     (-1)^n G(2n+a+b+2) G(b+1) G(N+1) / (G(n+b+1) G(N+n+a+b+2)).
     """
     sign = -1.0 if n % 2 else 1.0
-    top = 2.0 * n + alpha + beta + 2.0
-    if N + n + alpha + beta + 2.0 < 170.0:
-        return (
-            sign * gamma(top) * gamma(beta + 1.0) * gamma(N + 1.0)
-            / (gamma(n + beta + 1.0) * gamma(N + n + alpha + beta + 2.0))
-        )
-    log_val = (
-        math.lgamma(top) + math.lgamma(beta + 1.0) + math.lgamma(N + 1.0)
-        - math.lgamma(n + beta + 1.0) - math.lgamma(N + n + alpha + beta + 2.0)
+    return sign * gamma_ratio(
+        (2.0 * n + alpha + beta + 2.0, beta + 1.0, N + 1.0),
+        (n + beta + 1.0, N + n + alpha + beta + 2.0),
     )
-    return sign * math.exp(log_val)
 
 
 def _j1_lead(alpha: float, beta: float, N: int, n: int) -> float:
     # (1+beta)_N / ((-N)_n (N-n)!) collapses to (-1)^n (1+beta)_N / N!
     sign = -1.0 if n % 2 else 1.0
-    return sign * _poch_over_factorial(beta + 1.0, N)
+    return sign * pochhammer_ratios(beta + 1.0, N)[N]
 
 
 def _j1_series(p: HahnFilterParams, m):
@@ -176,7 +152,8 @@ def j1_weight(p: HahnFilterParams, m: int) -> float:
     """
     if m < 1:
         raise ValidationError(f"backward taps start at m = 1, got {m}")
-    return _j1_lead(p.alpha, p.beta, p.N, p.n) * _falling_ratio(p.nu, m + p.n) * _j1_series(p, m)
+    k = m + p.n
+    return _j1_lead(p.alpha, p.beta, p.N, p.n) * pochhammer_ratios(-p.nu, k)[k] * _j1_series(p, m)
 
 
 def j2_weight(p: HahnFilterParams, m: int) -> float:
@@ -189,21 +166,17 @@ def j2_weight(p: HahnFilterParams, m: int) -> float:
     """
     if not 0 <= m <= p.N:
         raise ValidationError(f"forward taps run over m = 0..N = {p.N}, got {m}")
-    # lead = (beta+1)_n / (-N)_n; (-N)_n = (-1)^n N (N-1) ... (N-n+1)
-    sign = -1.0 if p.n % 2 else 1.0
-    lead = sign * _poch_over_factorial(p.beta + 1.0, p.n) * math.factorial(p.n)
+    # lead = (beta+1)_n / (-N)_n as one running product
+    lead = 1.0
     for i in range(p.n):
-        lead /= p.N - i
-    a_top = p.alpha + p.n + 1.0
-    b_top = p.beta + p.n + 1.0
+        lead *= (p.beta + 1.0 + i) / (i - p.N)
+    last = p.N - p.n
+    a = pochhammer_ratios(p.alpha + p.n + 1.0, last).tolist()
+    b = pochhammer_ratios(p.beta + p.n + 1.0, last).tolist()
+    c = pochhammer_ratios(-p.nu, p.N).tolist()
     acc = 0.0
-    i_max = min(p.N - m, p.N - p.n)
-    for i in range(i_max + 1):
-        acc += (
-            _poch_over_factorial(a_top, p.N - p.n - i)
-            * _poch_over_factorial(b_top, i)
-            * _falling_ratio(p.nu, p.N - m - i)
-        )
+    for i in range(min(p.N - m, last) + 1):
+        acc += a[last - i] * b[i] * c[p.N - m - i]
     return lead * acc
 
 
@@ -217,10 +190,9 @@ def hahn_weights(p: HahnFilterParams) -> FilterWeights:
     """
     forward = np.array([j2_weight(p, m) for m in range(p.N + 1)])
     m = np.arange(1, p.M + 1)
-    steps = (m + p.n - 1.0 - p.nu) / (m + p.n)
-    ratio = np.multiply.accumulate(np.concatenate(([_falling_ratio(p.nu, p.n)], steps)))
+    ratio = pochhammer_ratios(-p.nu, p.n + p.M)[p.n + 1:]
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
-    backward = lead * ratio[1:] * _j1_series(p, m)
+    backward = lead * ratio * _j1_series(p, m)
     prefactor = hahn_normalization(p.alpha, p.beta, p.N, p.n) / p.delta ** p.nu
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, GrowthError, ValidationError
-from .specfun import SQRT_TWO_PI, gamma, hyp2f1, kummer_m, rgamma
+from .specfun import SQRT_TWO_PI, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
 
 # apply_kernel extends the tail until its remainder bound drops below
 # this fraction of the interior contribution.
@@ -55,21 +55,12 @@ class JacobiKernelParams:
             raise ValidationError(f"step must be positive, got {self.delta:g}")
 
 
-@dataclass(frozen=True)
-class PolynomialNormalization:
-    """Squared norm over leading coefficient, h_n / k_n."""
-
-    hn_over_kn: float
-
-
-def jacobi_normalization(alpha: float, beta: float, n: int) -> PolynomialNormalization:
-    """h_n/k_n = 2^(n+a+b+1) G(n+a+1) G(n+b+1) / G(2n+a+b+2)."""
-    value = (
-        2.0 ** (n + alpha + beta + 1.0)
-        * gamma(n + alpha + 1.0) * gamma(n + beta + 1.0)
-        / gamma(2.0 * n + alpha + beta + 2.0)
+def jacobi_normalization(alpha: float, beta: float, n: int) -> float:
+    """Squared norm over leading coefficient of the Jacobi polynomial,
+    h_n/k_n = 2^(n+a+b+1) G(n+a+1) G(n+b+1) / G(2n+a+b+2)."""
+    return 2.0 ** (n + alpha + beta + 1.0) * gamma_ratio(
+        (n + alpha + 1.0, n + beta + 1.0), (2.0 * n + alpha + beta + 2.0,)
     )
-    return PolynomialNormalization(hn_over_kn=value)
 
 
 def gegenbauer_legendre_params(

@@ -69,6 +69,57 @@ def rgamma(x: float) -> float:
     return 1.0 / gamma(x)
 
 
+def gamma_ratio(tops, bottoms) -> float:
+    """prod Gamma(tops) / prod Gamma(bottoms) for real arguments.
+
+    The quotient of the plain ``math.gamma`` products, multiplied in
+    argument order, whenever every factor, both products and the quotient
+    are finite and non-zero; otherwise exp(sum lgamma(tops) - sum
+    lgamma(bottoms)) with the sign carried separately, so a ratio of two
+    overflowing products still comes out.  The route follows from the
+    values alone.  A pole among the tops raises PoleError, one among the
+    bottoms gives 0, and a ratio beyond double range raises DomainError.
+    """
+    for x in tops:
+        if _nonpositive_int(x):
+            raise PoleError(f"gamma pole at x = {x:g} in a gamma-ratio numerator")
+    if any(_nonpositive_int(x) for x in bottoms):
+        return 0.0
+    try:
+        top = [math.gamma(x) for x in tops]
+        bottom = [math.gamma(x) for x in bottoms]
+    except OverflowError:
+        top = bottom = [math.inf]
+    num, den = math.prod(top), math.prod(bottom)
+    if all(0.0 < abs(v) < math.inf for v in (*top, *bottom, num, den)):
+        value = num / den
+        if abs(value) < math.inf:
+            return value
+    log = 0.0
+    for x in tops:
+        log += math.lgamma(x)
+    for x in bottoms:
+        log -= math.lgamma(x)
+    negatives = sum(x < 0.0 and math.floor(x) % 2 == 1 for x in (*tops, *bottoms))
+    try:
+        return (-1.0) ** negatives * math.exp(log)
+    except OverflowError:
+        raise DomainError(
+            f"gamma ratio of {tuple(tops)} over {tuple(bottoms)} overflows double precision"
+        ) from None
+
+
+def pochhammer_ratios(a: float, k: int) -> np.ndarray:
+    """(a)_j / j! for j = 0..k as one running product.
+
+    Each step multiplies by ((j - 1) + a) / j, so no factor overflows where
+    (a)_j or j! alone would, and a nonpositive integer a ends in exact
+    zeros.
+    """
+    j = np.arange(1, k + 1)
+    return np.multiply.accumulate(np.concatenate(([1.0], ((j - 1.0) + a) / j)))
+
+
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
     if k < 0:
@@ -377,8 +428,8 @@ def _double_factorial_odd(n: int) -> float:
     return acc
 
 
-def _jn_series(n: int, x: float) -> float:
-    # j_n(x) = x^n sum_k (-x^2/2)^k / (k! (2n+2k+1)!!); a handful of terms
+def _jn_ratio_series(n: int, x: float) -> float:
+    # j_n(x)/x^n = sum_k (-x^2/2)^k / (k! (2n+2k+1)!!); a handful of terms
     # suffice for |x| <= 1 and there is no cancellation to worry about.
     u = -0.5 * x * x
     term = 1.0
@@ -388,7 +439,7 @@ def _jn_series(n: int, x: float) -> float:
         total += term
         if abs(term) < SERIES_RTOL * abs(total):
             break
-    return x ** n / _double_factorial_odd(n) * total
+    return total / _double_factorial_odd(n)
 
 
 _JN_SERIES_CUTOFF = 1.0
@@ -410,7 +461,7 @@ def spherical_jn(n: int, x: float) -> float:
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x < _JN_SERIES_CUTOFF:
-        return _jn_series(n, x)
+        return x ** n * _jn_ratio_series(n, x)
     if n == 0:
         return math.sin(x) / x
     if n == 1:
@@ -459,15 +510,6 @@ def spherical_jn_ratio(n: int, x: float) -> float:
     """
     if n < 0:
         raise ValidationError(f"spherical_jn_ratio order must be >= 0, got {n}")
-    ax = abs(x)
-    if ax < _JN_SERIES_CUTOFF:
-        u = -0.5 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 40):
-            term *= u / (k * (2 * n + 2 * k + 1))
-            total += term
-            if abs(term) < SERIES_RTOL * abs(total):
-                break
-        return total / _double_factorial_odd(n)
+    if abs(x) < _JN_SERIES_CUTOFF:
+        return _jn_ratio_series(n, x)
     return spherical_jn(n, x) / x ** n

@@ -1,0 +1,16 @@
+"""The benchmark's tracer wraps package attributes by name; every name it
+wraps must still exist, or a traced run fails when it installs."""
+
+import importlib.util
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_every_wrapped_attribute_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracing.WRAPPED
+               if not callable(getattr(module, attr, None))]
+    assert not missing

@@ -377,6 +377,32 @@ class TestLargeGammaArguments:
         assert all(row[5] == "1" and math.isfinite(float(row[3])) for row in data)
 
 
+    def test_saturated_hahn_sweep_past_gamma_overflow(self, tmp_path, capsys):
+        """N = n = 70: every Gamma product in the gain overflows on its own."""
+        out = tmp_path / "h.json"
+        code, _, _ = run(
+            ["sweep", "--family", "hahn", "--N", "70", "--n", "70", "--nu", "0.5",
+             "--delta", "1", "-o", str(out)],
+            capsys,
+        )
+        assert code == 0
+        samples = json.loads(out.read_text())["samples"]
+        assert samples and all(
+            math.isfinite(s["re"]) and math.isfinite(s["im"]) for s in samples if s["valid"]
+        )
+
+    def test_filter_order_past_factorial_range(self, tmp_path, capsys):
+        x = 0.01 * np.arange(400)
+        write_signal(tmp_path / "in.csv", x, x * x)
+        code, _, err = run(
+            ["filter", "--family", "hahn", "--nu", "0.5", "--N", "200", "--n", "171",
+             "--M", "5", "-i", str(tmp_path / "in.csv"), "-o", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_missing_input_file_is_io(self, tmp_path, capsys):
         code, _, err = run(
@@ -404,6 +430,18 @@ class TestExitCodes:
         )
         assert code == 3
         assert err.startswith("fracfilt: numeric failure:")
+
+    def test_non_ascii_config_is_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("family = gl\nnu = 0.5 # \u00b5s\n".encode("utf-8"))
+        with pytest.raises(ValidationError, match="not ASCII"):
+            cli.parse_config_file(str(cfg))
+        code, _, err = run(
+            ["sweep", "--config", str(cfg), "--delta", "1", "-o", str(tmp_path / "x.txt")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("fracfilt: error:")
 
     def test_unknown_flag_is_validation(self, capsys):
         code, _, err = run(["sweep", "--wavelength", "3"], capsys)

@@ -4,12 +4,13 @@ construction routes, and filter application."""
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfilt.errors import ValidationError
+from fracfilt.errors import FracfiltError, ValidationError
 from fracfilt.fracops import SampledSignal, gl_coefficients
 from fracfilt.hahn import (
     FilterWeights,
@@ -24,11 +25,10 @@ from fracfilt.hahn import (
     hahn_weight_function,
     hahn_weights,
     j1_weight,
-    _falling_ratio,
     _j1_lead,
     _j1_series,
 )
-from fracfilt.specfun import gamma, pochhammer
+from fracfilt.specfun import gamma, pochhammer, pochhammer_ratios
 
 
 def full_taps(w: FilterWeights) -> np.ndarray:
@@ -125,6 +125,20 @@ class TestPolynomialFamily:
                 expected, rel=1e-12
             )
 
+    @pytest.mark.parametrize("alpha,beta,N,n", [
+        (0.0, 0.0, 70, 70), (0.0, 0.0, 100, 60), (0.5, 0.5, 150, 3), (1.3, 0.2, 300, 171),
+    ])
+    def test_normalization_where_the_gamma_products_overflow(self, alpha, beta, N, n):
+        """Each Gamma product passes 1e308 while the gain itself is an
+        ordinary number; (0, 0, 70, 70) is exactly 1."""
+        with mpmath.workdps(40):
+            G = mpmath.gamma
+            expected = float(
+                (-1) ** n * G(2 * n + alpha + beta + 2) * G(beta + 1) * G(N + 1)
+                / (G(n + beta + 1) * G(N + n + alpha + beta + 2))
+            )
+        assert hahn_normalization(alpha, beta, N, n) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_support_validated(self):
         with pytest.raises(ValidationError):
             hahn_polynomial(5, 1.0, 0.0, 0.0, 4)
@@ -217,7 +231,7 @@ def hahn_backward_loop(p):
     """hahn_weights' backward taps as one scalar loop over m (see above)."""
     backward = np.empty(p.M)
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
-    ratio = _falling_ratio(p.nu, p.n)
+    ratio = pochhammer_ratios(-p.nu, p.n)[p.n]
     for m in range(1, p.M + 1):
         ratio *= (m + p.n - 1.0 - p.nu) / (m + p.n)
         backward[m - 1] = lead * ratio * _j1_series(p, m)
@@ -262,6 +276,18 @@ class TestVectorisedTaps:
         closed = full_taps(gram_n1_weights(N, nu, delta, M))
         scale = np.abs(general).max()
         np.testing.assert_allclose(closed, general, rtol=0, atol=1e-12 * scale)
+
+
+class TestOrderBeyondFactorialRange:
+    def test_forward_taps_past_n_170(self):
+        """(-N)_n and n! both pass 1e308 at n > 170; the lead of the
+        forward taps is their running ratio, so the taps stay finite."""
+        p = HahnFilterParams(alpha=0.0, beta=0.0, N=200, n=171, nu=0.5, delta=1.0, M=5)
+        try:
+            w = hahn_weights(p)
+        except FracfiltError:
+            return
+        assert np.all(np.isfinite(full_taps(w)))
 
 
 class TestApplyDiscreteFilter:

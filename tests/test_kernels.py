@@ -45,7 +45,7 @@ class TestParams:
 
     def test_normalization(self):
         # h_n/k_n for Legendre n=1: 2^2 * 1 * 1 / G(4) = 2/3
-        assert jacobi_normalization(0.0, 0.0, 1).hn_over_kn == pytest.approx(
+        assert jacobi_normalization(0.0, 0.0, 1) == pytest.approx(
             2.0 / 3.0, rel=1e-14
         )
 

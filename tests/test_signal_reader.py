@@ -129,6 +129,20 @@ def test_infinite_valid_flag_exits_one(tmp_path, capsys):
     assert "valid flag" in capsys.readouterr().err
 
 
+def test_byte_order_mark_exits_one(tmp_path, capsys):
+    """A UTF-8 byte order mark is not ASCII; it is a validation error, not
+    a UnicodeDecodeError traceback."""
+    path = str(tmp_path / "bom.csv")
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbfx,value\n0,1\n1,2\n2,3\n")
+    with pytest.raises(ValidationError, match="not ASCII"):
+        cli.read_signal_file(path)
+    code = cli.main(["filter", "--family", "gl", "--nu", "1", "-i", path,
+                     "-o", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("fracfilt: error:")
+
+
 # the cli-window benchmark designs: (family, N, extra flags)
 WINDOW_DESIGNS = [
     ("gram", 4, []),

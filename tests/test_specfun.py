@@ -22,10 +22,12 @@ from fracfilt.specfun import (
     CutSide,
     complex_power,
     gamma,
+    gamma_ratio,
     hyp2f1,
     hyp3f2_unit,
     kummer_m,
     pochhammer,
+    pochhammer_ratios,
     rgamma,
     spherical_jn,
     spherical_jn_ratio,
@@ -103,6 +105,59 @@ class TestPochhammer:
     def test_negative_index_rejected(self):
         with pytest.raises(ValidationError):
             pochhammer(1.0, -1)
+
+
+class TestGammaRatio:
+    @pytest.mark.parametrize("tops,bottoms", [
+        ((2.5, 7.0, 1.0), (3.0, 6.5)),             # plain products
+        ((142.0, 71.0), (71.0, 142.0)),            # both products overflow
+        ((122.0, 1.0, 101.0), (61.0, 162.0)),      # hahn_normalization(0, 0, 100, 60)
+        ((300.5,), (299.0,)),                       # one factor overflows
+        ((-0.5, 200.0), (199.0,)),                 # negative factor, lgamma route
+        ((-170.5, 3.0), (-169.5, 2.0)),            # factors near 1e-307
+    ])
+    def test_matches_mpmath(self, tops, bottoms):
+        with mpmath.workdps(MP_DPS):
+            ref = float(mpmath.fprod(map(mpmath.gamma, tops))
+                        / mpmath.fprod(map(mpmath.gamma, bottoms)))
+        assert gamma_ratio(tops, bottoms) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_plain_route_is_the_gamma_quotient(self):
+        tops, bottoms = (2.3, 17.9, 4.4), (0.7, 12.1)
+        expected = gamma(2.3) * gamma(17.9) * gamma(4.4) / (gamma(0.7) * gamma(12.1))
+        assert gamma_ratio(tops, bottoms) == expected
+
+    def test_pole_on_top_raises(self):
+        with pytest.raises(PoleError):
+            gamma_ratio((-2.0, 3.0), (1.5,))
+
+    def test_pole_below_gives_zero(self):
+        assert gamma_ratio((3.5,), (-4.0,)) == 0.0
+
+    @pytest.mark.parametrize("tops,bottoms", [
+        ((400.0,), (2.0,)), ((180.0, 180.0), (3.0,)), ((171.6,), (1.5, 1.5)),
+    ])
+    def test_overflowing_ratio_is_a_domain_error(self, tops, bottoms):
+        with pytest.raises(DomainError):
+            gamma_ratio(tops, bottoms)
+
+
+class TestPochhammerRatios:
+    @pytest.mark.parametrize("a", [1.3, -0.5, 2.5, -3.0])
+    def test_matches_pochhammer_over_factorial(self, a):
+        table = pochhammer_ratios(a, 12)
+        assert table.shape == (13,)
+        for j in range(13):
+            assert table[j] == pytest.approx(
+                pochhammer(a, j) / math.factorial(j), rel=1e-13, abs=0.0
+            )
+
+    def test_negative_integer_ends_in_exact_zeros(self):
+        assert np.all(pochhammer_ratios(-3.0, 10)[4:] == 0.0)
+
+    def test_no_overflow_where_factorial_would(self):
+        table = pochhammer_ratios(1.0, 400)   # (1)_j / j! = 1
+        assert np.all(table == 1.0)
 
 
 class TestComplexPower:

@@ -6,8 +6,11 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfilt.errors import DomainError, FracfiltError, ValidationError
 from fracfilt.hahn import HahnFilterParams, gram_n1_weights, hahn_weights
@@ -188,6 +191,15 @@ class TestHahnTransfer:
         assert hahn_transfer(p, 0.9) == pytest.approx(expected, rel=1e-13)
 
 
+    def test_saturated_window_past_gamma_overflow(self):
+        """At N = n = 70 the gain and the 2F1 are both 1, though every Gamma
+        product in the gain overflows on its own."""
+        p = HahnFilterParams(alpha=0.0, beta=0.0, N=70, n=70, nu=0.5, delta=1.0, M=1)
+        w = _nyquist_grid(1.0).points
+        expected = gl_transfer(0.5, 1.0, w) * np.exp(-70j * w)
+        np.testing.assert_allclose(hahn_transfer(p, w), expected, rtol=1e-12, atol=0.0)
+
+
 class TestHahnTruncatedTransfer:
     def test_converges_to_the_exact_response(self):
         exact = hahn_transfer(_flat_params(7, 0.5, M=1), 0.5)
@@ -265,6 +277,35 @@ class TestTruncatedDcGain:
     def test_step_scaling(self):
         r = truncated_dc_gain(7, 0.5, 0.25, 64) / truncated_dc_gain(7, 0.5, 1.0, 64)
         assert r == pytest.approx(0.25 ** -0.5, rel=1e-13)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 64), nu=st.floats(0.0, 1.0), M=st.integers(1, 170),
+           delta=st.floats(1e-3, 10.0))
+    def test_equals_the_tap_sum_property(self, N, nu, M, delta):
+        """Tap sum = DC gain across the M range where the Gamma ratio's
+        factors near the end of double range.  The routes differ by up to
+        5.9e-12 of the tap scale at N = 1, small nu, M near 160, mostly
+        through truncated_dc_gain's cancellation (xfail below)."""
+        w = gram_n1_weights(N, nu, delta, M)
+        taps = w.prefactor * np.concatenate([w.forward, w.backward])
+        assert abs(truncated_dc_gain(N, nu, delta, M) - taps.sum()) <= 1e-11 * np.abs(taps).sum()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "truncated_dc_gain cancels: its bracket pieces (0.0993, 0.0497, -0.1490 "
+        "at N = 16, M = 4096, nu = 0.5) sum to 9.1e-5 and its cross term is "
+        "formed as s - s1, leaving 1.1e-10 relative error"))
+    @pytest.mark.parametrize("N,M,nu", [(16, 4096, 0.5), (1, 156, 0.003)])
+    def test_against_high_precision(self, N, M, nu):
+        with mpmath.workdps(50):
+            nu_mp = mpmath.mpf(nu)
+            prod = mpmath.fprod((M - nu_mp + 2 + k) / (M + k) for k in range(N + 1))
+            exact = float(
+                6 / (N * (N + 1) * (N + 2) * mpmath.gamma(4 - nu_mp))
+                * mpmath.gamma(M - nu_mp + 2) / mpmath.gamma(M)
+                * ((N - 2 * M - N * nu_mp) * prod + (3 - nu_mp) * N + 2 * (M - nu_mp + 2))
+            )
+        assert truncated_dc_gain(N, nu, 1.0, M) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestFilterMetrics:
