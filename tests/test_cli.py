@@ -376,7 +376,6 @@ class TestLargeGammaArguments:
         assert len(data) == 121
         assert all(row[5] == "1" and math.isfinite(float(row[3])) for row in data)
 
-
     def test_saturated_hahn_sweep_past_gamma_overflow(self, tmp_path, capsys):
         """N = n = 70: every Gamma product in the gain overflows on its own."""
         out = tmp_path / "h.json"

@@ -155,9 +155,11 @@ class TestPochhammerRatios:
     def test_negative_integer_ends_in_exact_zeros(self):
         assert np.all(pochhammer_ratios(-3.0, 10)[4:] == 0.0)
 
-    def test_no_overflow_where_factorial_would(self):
-        table = pochhammer_ratios(1.0, 400)   # (1)_j / j! = 1
-        assert np.all(table == 1.0)
+    def test_past_factorial_range(self):
+        # (2.5)_300 and 300! both overflow; their ratio is about 4e3
+        with mpmath.workdps(MP_DPS):
+            ref = float(mpmath.rf(2.5, 300) / mpmath.factorial(300))
+        assert pochhammer_ratios(2.5, 300)[300] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestComplexPower:

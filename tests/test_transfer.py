@@ -190,7 +190,6 @@ class TestHahnTransfer:
         expected = gl_transfer(1.3, 0.5, 0.9) * cmath.exp(-2j * 0.9 * 0.5)
         assert hahn_transfer(p, 0.9) == pytest.approx(expected, rel=1e-13)
 
-
     def test_saturated_window_past_gamma_overflow(self):
         """At N = n = 70 the gain and the 2F1 are both 1, though every Gamma
         product in the gain overflows on its own."""
@@ -277,7 +276,6 @@ class TestTruncatedDcGain:
     def test_step_scaling(self):
         r = truncated_dc_gain(7, 0.5, 0.25, 64) / truncated_dc_gain(7, 0.5, 1.0, 64)
         assert r == pytest.approx(0.25 ** -0.5, rel=1e-13)
-
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(1, 64), nu=st.floats(0.0, 1.0), M=st.integers(1, 170),
