@@ -22,6 +22,7 @@ from .fracops import (
     SampledSignal,
     gl_coefficients,
     gl_difference,
+    gl_weights,
     rl_integral_numeric,
     rl_power,
     weyl_power,
@@ -99,6 +100,7 @@ __all__ = [
     "gegenbauer_legendre_params",
     "gl_coefficients",
     "gl_difference",
+    "gl_weights",
     "gl_transfer",
     "gram_n1_weights",
     "hahn_normalization",

@@ -27,7 +27,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FracfiltError, ValidationError
-from .fracops import SampledSignal, gl_coefficients
+# gl_coefficients is not called here, but bench/tracing.py wraps it as
+# an attribute of this module
+from .fracops import SampledSignal, gl_coefficients, gl_weights  # noqa: F401
 from .hahn import HahnFilterParams, default_history, gram_n1_weights, hahn_weights
 from .kernels import JacobiKernelParams
 from .transfer import (
@@ -249,17 +251,14 @@ def _integer_order(nu: float) -> int | None:
 
 
 def _filter_taps(cfg: RunConfig, signal: SampledSignal):
-    """Return (offsets 'backward count' M, taps in offset order -M..N,
-    prefactor, minimal history for a valid non-causal sample)."""
+    """Return (backward count M, forward count N, taps in offset order
+    -M..N, prefactor)."""
     if cfg.nu is None:
         raise ValidationError(f"family {cfg.family} needs --nu")
     if cfg.family == "gl":
         k = _integer_order(cfg.nu)
-        need = k + 1 if k is not None else len(signal)
-        coeffs = gl_coefficients(cfg.nu, need)
-        taps = coeffs[::-1]  # offsets -(need-1) .. 0
-        return need - 1, 0, taps, signal.delta ** -cfg.nu
-    if cfg.family == "gram":
+        w = gl_weights(cfg.nu, k + 1 if k is not None else len(signal), signal.delta)
+    elif cfg.family == "gram":
         if cfg.N is None:
             raise ValidationError("family gram needs --N")
         M = cfg.M if cfg.M is not None else default_history(cfg.N, 1, cfg.nu)
@@ -272,7 +271,6 @@ def _filter_taps(cfg: RunConfig, signal: SampledSignal):
             delta=signal.delta, M=cfg.M,
         )
         w = hahn_weights(params)
-        M = params.M
     elif cfg.family in ("jacobi", "legendre", "laguerre"):
         raise ValidationError(
             f"family {cfg.family} is a continuous kernel and needs a callable "
@@ -280,8 +278,7 @@ def _filter_taps(cfg: RunConfig, signal: SampledSignal):
         )
     else:
         raise ValidationError(f"family {cfg.family!r} has no filter mode")
-    taps = np.concatenate([w.backward[::-1], w.forward])
-    return M, w.forward.size - 1, taps, w.prefactor
+    return w.backward.size, w.forward.size - 1, w.taps, w.prefactor
 
 
 def run_filter(cfg: RunConfig) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .hahn import FilterWeights, apply_discrete_filter
 from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
 
 # rl_integral_numeric refuses to return a value whose quadrature error
@@ -165,6 +166,14 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
     return pochhammer_ratios(-nu, count - 1)
 
 
+def gl_weights(nu: float, terms: int, delta: float) -> FilterWeights:
+    """The fractional backward difference as a filter: forward tap
+    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu, with
+    c_k = (-nu)_k / k! from gl_coefficients."""
+    coeffs = gl_coefficients(nu, terms)
+    return FilterWeights(forward=coeffs[:1], backward=coeffs[1:], prefactor=delta ** -nu)
+
+
 def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -> float:
     """Scaled fractional backward difference at one sample.
 
@@ -174,19 +183,7 @@ def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -
     (everything earlier is zero by definition); for a non-causal signal a
     window reaching past the first sample is an error, never a guess.
     """
-    if terms < 1:
-        raise ValidationError(f"terms must be >= 1, got {terms}")
-    if not 0 <= at_index < len(signal):
-        raise ValidationError(
-            f"index {at_index} outside the signal (length {len(signal)})"
-        )
     if signal.causal:
-        terms = min(terms, at_index + 1)
-    elif terms - 1 > at_index:
-        raise ValidationError(
-            f"difference window of {terms} samples runs past the start of a "
-            "non-causal signal; shorten it or mark the signal causal"
-        )
-    coeffs = gl_coefficients(nu, terms)
-    window = signal.samples[at_index - terms + 1: at_index + 1][::-1]
-    return float(coeffs @ window) / signal.delta ** nu
+        # taps reaching past the first sample only ever meet zeros
+        terms = min(terms, len(signal))
+    return apply_discrete_filter(signal, gl_weights(nu, terms, signal.delta), at_index)

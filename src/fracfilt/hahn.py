@@ -4,9 +4,10 @@ The taps come from least-squares fitting a degree-N discrete polynomial
 (Hahn family) through N+1 forward samples and applying the fractional
 derivative to the fit; the infinite backward tail is what turns the
 approximation into an exact fractional operator.  Forward and backward
-weights are kept separate because they truncate differently: the forward
-set is finite by construction, the backward set decays algebraically and
-is cut at M taps.
+weights are built separately because they truncate differently: the
+forward set is finite by construction, the backward set decays
+algebraically and is cut at M taps.  FilterWeights then stores them as
+one array in offset order -M..N, which is what every filter reads.
 
 Everything is expressed through cancelled Pochhammer ratios so that no
 individual factor overflows and integer orders come out exact.
@@ -15,7 +16,7 @@ individual factor overflows and integer orders come out exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,22 +81,31 @@ class HahnFilterParams:
 class FilterWeights:
     """Tap set of a two-sided FIR differentiator.
 
-    forward[m] multiplies f(x + m*delta) for m = 0..N, backward[m-1]
-    multiplies f(x - m*delta) for m = 1..M, and prefactor is the common
-    gain (carries the delta**-nu scaling) applied to the whole sum.
+    taps holds every coefficient in offset order -M..N: taps[M + k]
+    multiplies f(x + k*delta).  forward[m] (m = 0..N, offset m) and
+    backward[m-1] (m = 1..M, offset -m) are read-only views into it, made
+    once here, so the two layouts cannot drift apart.  prefactor is the
+    common gain (carries the delta**-nu scaling) applied to the whole sum.
     """
 
     forward: np.ndarray
     backward: np.ndarray
     prefactor: float
+    taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forward", np.asarray(self.forward, dtype=float))
-        object.__setattr__(self, "backward", np.asarray(self.backward, dtype=float))
-        if self.forward.ndim != 1 or self.forward.size < 1:
+        forward = np.asarray(self.forward, dtype=float)
+        backward = np.asarray(self.backward, dtype=float)
+        if forward.ndim != 1 or forward.size < 1:
             raise ValidationError("forward taps must form a non-empty 1-d array")
-        if self.backward.ndim != 1:
+        if backward.ndim != 1:
             raise ValidationError("backward taps must form a 1-d array")
+        taps = np.concatenate([backward[::-1], forward])
+        taps.flags.writeable = False
+        M = backward.size
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "forward", taps[M:])
+        object.__setattr__(self, "backward", taps[:M][::-1])
 
 
 def hahn_polynomial(n: int, j: float, alpha: float, beta: float, N: int) -> float:
@@ -248,10 +258,13 @@ def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> floa
 
     Needs N samples of lookahead unconditionally; missing backward history
     is treated as zero only for causal signals, otherwise it is an error.
+    The value is one dot product of the taps that meet samples against
+    the contiguous window of those samples.
     """
     samples = signal.samples
-    n_fwd = weights.forward.size - 1
+    taps = weights.taps
     n_bwd = weights.backward.size
+    n_fwd = taps.size - n_bwd - 1
     if not 0 <= at_index < samples.size:
         raise ValidationError(
             f"index {at_index} outside the signal (length {samples.size})"
@@ -267,11 +280,8 @@ def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> floa
             f"filter needs {n_bwd} samples of history at index {at_index}; "
             "only a causal signal may substitute zeros"
         )
-    acc = float(weights.forward @ samples[at_index: at_index + n_fwd + 1])
-    if available:
-        history = samples[at_index - available: at_index][::-1]
-        acc += float(weights.backward[:available] @ history)
-    return weights.prefactor * acc
+    window = samples[at_index - available: at_index + n_fwd + 1]
+    return weights.prefactor * float(taps[n_bwd - available:] @ window)
 
 
 def export_taps(weights: FilterWeights, destination) -> None:
@@ -281,10 +291,10 @@ def export_taps(weights: FilterWeights, destination) -> None:
     f(x + k*delta)), column 2 the full coefficient with the prefactor
     folded in.  Accepts a path or an open text file.
     """
+    first = -weights.backward.size
+    coefficients = (weights.prefactor * weights.taps).tolist()
     with _open_text(destination) as stream:
         stream.write("# discrete fractional-derivative taps\n")
         stream.write("# offset coefficient  (tap multiplies f(x + offset*delta))\n")
-        for m in range(weights.backward.size, 0, -1):
-            stream.write(f"{-m} {float(weights.prefactor * weights.backward[m - 1])!r}\n")
-        for m in range(weights.forward.size):
-            stream.write(f"{m} {float(weights.prefactor * weights.forward[m])!r}\n")
+        for offset, c in enumerate(coefficients, start=first):
+            stream.write(f"{offset} {c!r}\n")

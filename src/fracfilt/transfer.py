@@ -272,19 +272,23 @@ def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
     # linear part s1 = sum (2-nu)/(M+k) plus the cross terms p = s - s1, the
     # same bracket regroups into three O(N^2/M) pieces:
     #   2(2-nu) sum k/(M+k)  +  N(1-nu) s1  +  (N - 2M - N nu) p
-    # These still cancel, and p is itself a difference: at (N, M, nu) =
-    # (16, 4096, 0.5) the pieces are 0.0993, 0.0497 and -0.1490, they sum to
-    # 9.1e-5, and the result is 1.1e-10 relative off a 50-digit value.
+    # p is accumulated directly (each step of s adds e + s*e, so p gains
+    # s*e) rather than formed as the difference s - s1.  The pieces still
+    # cancel: at (N, M, nu) = (16, 4096, 0.5) they are 0.0993, 0.0497 and
+    # -0.1490, they sum to 9.1e-5, and the result is 2.4e-12 relative off
+    # a 50-digit value.
     s = 0.0
     s1 = 0.0
+    p = 0.0
     t1 = 0.0
     for k in range(N + 1):
         e = (2.0 - nu) / (M + k)
+        p += s * e
         s += e + s * e
         s1 += e
         t1 += k / (M + k)
     inner = (2.0 * (2.0 - nu) * t1 + N * (1.0 - nu) * s1
-             + (N - 2.0 * M - N * nu) * (s - s1))
+             + (N - 2.0 * M - N * nu) * p)
     return pref * outer * inner
 
 

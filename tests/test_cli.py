@@ -9,10 +9,11 @@ import pytest
 
 from fracfilt import cli
 from fracfilt.errors import PoleError, ValidationError
-from fracfilt.fracops import SampledSignal
+from fracfilt.fracops import SampledSignal, gl_weights
 from fracfilt.hahn import (
     HahnFilterParams,
     apply_discrete_filter,
+    default_history,
     gram_n1_weights,
     hahn_weights,
 )
@@ -213,6 +214,51 @@ class TestFilterMode:
         )
         assert code == 1
         assert "use gl, gram, or hahn" in err
+
+
+# CLI flags and the library weights they select, all at nu = 0.5, as
+# functions of (delta, signal length)
+SHARED_LAYOUT_DESIGNS = {
+    "gram-N4": (["--family", "gram", "--N", "4"],
+                lambda d, L: gram_n1_weights(4, 0.5, d, default_history(4, 1, 0.5))),
+    "gram-N16": (["--family", "gram", "--N", "16"],
+                 lambda d, L: gram_n1_weights(16, 0.5, d, default_history(16, 1, 0.5))),
+    "hahn-N16": (["--family", "hahn", "--N", "16", "--alpha", "0.5", "--beta", "0.5"],
+                 lambda d, L: hahn_weights(HahnFilterParams(
+                     alpha=0.5, beta=0.5, N=16, n=1, nu=0.5, delta=d))),
+    "gl": (["--family", "gl"], lambda d, L: gl_weights(0.5, L, d)),
+}
+
+
+class TestSharedTapLayout:
+    """The CLI correlates w.taps over the padded signal and
+    apply_discrete_filter dots a slice of the same array, so they agree
+    bit for bit wherever the whole history is there."""
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["noncausal", "causal"])
+    @pytest.mark.parametrize("design", sorted(SHARED_LAYOUT_DESIGNS))
+    def test_filter_rows_equal_the_library_call(self, tmp_path, capsys, design, causal):
+        delta, L = 0.5, 700
+        x = delta * np.arange(L)
+        samples = x * x + 0.01 * np.random.default_rng(7).standard_normal(L)
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, x, samples)
+        flags, build = SHARED_LAYOUT_DESIGNS[design]
+        argv = ["filter", *flags, "--nu", "0.5", "-i", str(src), "-o", str(dst)]
+        code, _, _ = run(argv + (["--causal"] if causal else []), capsys)
+        assert code == 0
+        values, _ = read_values(dst)
+        w = build(delta, L)
+        M, N = w.backward.size, w.forward.size - 1
+        sig = SampledSignal(x0=0.0, delta=delta, samples=samples, causal=causal)
+        for i in range(M, L - N):
+            assert apply_discrete_filter(sig, w, i) == values[i]
+        if causal:
+            # zero history: the CLI sums the zero padding, the library skips it
+            for i in range(min(M, L - N)):
+                terms = w.taps[M - i:] * samples[:i + N + 1]
+                scale = abs(w.prefactor) * np.abs(terms).sum()
+                assert abs(apply_discrete_filter(sig, w, i) - values[i]) <= 1e-15 * scale
 
 
 class TestSweepMode:

@@ -214,6 +214,7 @@ class TestGlDifference:
     def test_causal_silently_caps_history(self):
         sig = SampledSignal(x0=0.0, delta=0.5, samples=np.arange(6.0), causal=True)
         assert gl_difference(sig, 0.5, 3, 500) == gl_difference(sig, 0.5, 3, 4)
+        assert gl_difference(sig, 0.5, 3, 10**12) == gl_difference(sig, 0.5, 3, 4)
 
     def test_noncausal_overrun_rejected(self):
         sig = SampledSignal(x0=0.0, delta=0.5, samples=np.arange(6.0))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfilt.errors import ValidationError
-from fracfilt.fracops import SampledSignal, gl_coefficients
+from fracfilt.fracops import SampledSignal, gl_coefficients, gl_weights
 from fracfilt.hahn import (
     FilterWeights,
     HahnFilterParams,
@@ -286,6 +286,40 @@ class TestOrderBeyondFactorialRange:
         assert np.all(np.isfinite(full_taps(hahn_weights(p))))
 
 
+class TestTapLayout:
+    @pytest.mark.parametrize("w", [
+        gram_n1_weights(4, 0.5, 0.1, 16),
+        hahn_weights(HahnFilterParams(alpha=0.5, beta=0.5, N=6, n=2, nu=1.5,
+                                      delta=0.1, M=9)),
+        gl_weights(0.5, 12, 0.1),
+        gl_weights(0.5, 1, 0.1),
+    ], ids=["gram", "hahn", "gl", "gl-no-history"])
+    def test_forward_and_backward_are_read_only_views_of_taps(self, w):
+        M = w.backward.size
+        assert w.taps.size == M + w.forward.size
+        assert np.shares_memory(w.forward, w.taps)
+        assert M == 0 or np.shares_memory(w.backward, w.taps)
+        np.testing.assert_array_equal(w.taps[M:], w.forward)
+        np.testing.assert_array_equal(w.taps[:M], w.backward[::-1])
+        for view in (w.taps, w.forward, w.backward):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[...] = 0.0
+
+    def test_taps_are_a_copy_of_the_inputs(self):
+        forward, backward = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])
+        w = FilterWeights(forward=forward, backward=backward, prefactor=1.0)
+        forward[0] = backward[0] = 0.0
+        np.testing.assert_array_equal(w.taps, [5.0, 4.0, 3.0, 1.0, 2.0])
+
+    def test_gl_weights_are_the_backward_difference(self):
+        w = gl_weights(0.5, 12, 0.1)
+        c = gl_coefficients(0.5, 12)
+        np.testing.assert_array_equal(w.forward, c[:1])
+        np.testing.assert_array_equal(w.backward, c[1:])
+        assert w.prefactor == 0.1 ** -0.5
+
+
 class TestApplyDiscreteFilter:
     def test_matches_manual_sum(self):
         rng = np.random.default_rng(42)
@@ -335,7 +369,29 @@ class TestApplyDiscreteFilter:
             apply_discrete_filter(sig, w, 20)
 
 
+def export_taps_two_loops(w: FilterWeights) -> str:
+    """export_taps written from the backward and forward arrays in two
+    loops, the reference for its single loop over the offset-ordered taps."""
+    lines = ["# discrete fractional-derivative taps\n",
+             "# offset coefficient  (tap multiplies f(x + offset*delta))\n"]
+    for m in range(w.backward.size, 0, -1):
+        lines.append(f"{-m} {float(w.prefactor * w.backward[m - 1])!r}\n")
+    for m in range(w.forward.size):
+        lines.append(f"{m} {float(w.prefactor * w.forward[m])!r}\n")
+    return "".join(lines)
+
+
 class TestExportTaps:
+    @pytest.mark.parametrize("w", [
+        gram_n1_weights(16, 0.5, 1e-3, 300),
+        hahn_weights(HahnFilterParams(alpha=0.3, beta=1.1, N=9, n=3, nu=2.5,
+                                      delta=0.01, M=200)),
+    ], ids=["gram", "hahn-weighted"])
+    def test_bytes_match_the_two_loop_table(self, w, tmp_path):
+        path = tmp_path / "taps.txt"
+        export_taps(w, str(path))
+        assert path.read_bytes() == export_taps_two_loops(w).encode("ascii")
+
     def test_round_trip(self):
         w = gram_n1_weights(3, 0.5, 0.1, 6)
         buf = io.StringIO()

@@ -283,17 +283,20 @@ class TestTruncatedDcGain:
     def test_equals_the_tap_sum_property(self, N, nu, M, delta):
         """Tap sum = DC gain across the M range where the Gamma ratio's
         factors near the end of double range.  The routes differ by up to
-        5.9e-12 of the tap scale at N = 1, small nu, M near 160, mostly
-        through truncated_dc_gain's cancellation (xfail below)."""
+        1.1e-12 of the tap scale at N = 1, small nu, M near 160, mostly
+        through the cancellation residual in gram_n1_weights' backward
+        taps."""
         w = gram_n1_weights(N, nu, delta, M)
         taps = w.prefactor * np.concatenate([w.forward, w.backward])
         assert abs(truncated_dc_gain(N, nu, delta, M) - taps.sum()) <= 1e-11 * np.abs(taps).sum()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "truncated_dc_gain cancels: its bracket pieces (0.0993, 0.0497, -0.1490 "
-        "at N = 16, M = 4096, nu = 0.5) sum to 9.1e-5 and its cross term is "
-        "formed as s - s1, leaving 1.1e-10 relative error"))
-    @pytest.mark.parametrize("N,M,nu", [(16, 4096, 0.5), (1, 156, 0.003)])
+    @pytest.mark.parametrize("N,M,nu", [
+        pytest.param(16, 4096, 0.5, marks=pytest.mark.xfail(strict=True, reason=(
+            "truncated_dc_gain cancels: its bracket pieces (0.0993, 0.0497, "
+            "-0.1490 at N = 16, M = 4096, nu = 0.5) sum to 9.1e-5, leaving "
+            "2.4e-12 relative error"))),
+        pytest.param(1, 156, 0.003),
+    ])
     def test_against_high_precision(self, N, M, nu):
         with mpmath.workdps(50):
             nu_mp = mpmath.mpf(nu)
