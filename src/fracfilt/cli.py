@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FracfiltError, ValidationError
+from .errors import DomainError, FracfiltError, ValidationError
 # gl_coefficients is not called here, but bench/tracing.py wraps it as
 # an attribute of this module
 from .fracops import SampledSignal, gl_coefficients, gl_weights  # noqa: F401
@@ -141,6 +141,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             merged[f.name] = flag_value
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{key} must be a finite number, got {value!r}")
     cfg = RunConfig(**merged)
     if cfg.family is not None and cfg.family not in _FAMILIES:
         raise ValidationError(
@@ -257,6 +260,8 @@ def _filter_taps(cfg: RunConfig, signal: SampledSignal):
         raise ValidationError(f"family {cfg.family} needs --nu")
     if cfg.family == "gl":
         k = _integer_order(cfg.nu)
+        if k is not None and k > 1029:  # from k = 1030 on, C(k, k/2) overflows
+            raise DomainError(f"gl taps of integer order {cfg.nu:g} overflow double precision")
         w = gl_weights(cfg.nu, k + 1 if k is not None else len(signal), signal.delta)
     elif cfg.family == "gram":
         if cfg.N is None:

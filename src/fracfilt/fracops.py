@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .hahn import FilterWeights, apply_discrete_filter
 from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
 
@@ -168,10 +168,14 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
 
 def gl_weights(nu: float, terms: int, delta: float) -> FilterWeights:
     """The fractional backward difference as a filter: forward tap
-    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu, with
-    c_k = (-nu)_k / k! from gl_coefficients."""
+    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu (past
+    double range a DomainError), with c_k = (-nu)_k / k! from gl_coefficients."""
+    try:
+        prefactor = delta ** -nu
+    except OverflowError:
+        raise DomainError(f"delta**-nu overflows at delta = {delta:g}, nu = {nu:g}") from None
     coeffs = gl_coefficients(nu, terms)
-    return FilterWeights(forward=coeffs[:1], backward=coeffs[1:], prefactor=delta ** -nu)
+    return FilterWeights(forward=coeffs[:1], backward=coeffs[1:], prefactor=prefactor)
 
 
 def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import _open_text
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .specfun import gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
 
 MAX_DEFAULT_HISTORY = 4096
@@ -203,7 +203,10 @@ def hahn_weights(p: HahnFilterParams) -> FilterWeights:
     ratio = pochhammer_ratios(-p.nu, p.n + p.M)[p.n + 1:]
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
     backward = lead * ratio * _j1_series(p, m)
-    prefactor = hahn_normalization(p.alpha, p.beta, p.N, p.n) / p.delta ** p.nu
+    try:
+        prefactor = hahn_normalization(p.alpha, p.beta, p.N, p.n) / p.delta ** p.nu
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"delta**nu leaves double range at nu = {p.nu:g}") from None
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 
 

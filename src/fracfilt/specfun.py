@@ -8,13 +8,14 @@ predictable failure over silent inaccuracy: each one raises a specific
 exception from :mod:`fracfilt.errors` when asked to leave its supported
 region, instead of returning a number that merely looks plausible.
 
-Parameters are scalar.  The argument may also be a numpy array in the
-places a frequency sweep needs it: ``complex_power``, the terminating and
-``|z| <= 0.95`` branches of ``hyp2f1``, every branch of ``kummer_m``, and
-array top/bottom parameters of ``hyp3f2_unit`` (the termination index comes
-from a scalar top parameter).  An array argument gives an array of the same
-shape, evaluated pointwise with the same stopping rule; a scalar gives a
-scalar.  An array call raises if any of its points would.
+Parameters are scalar.  The argument may also be a numpy array where a
+sweep needs it: ``complex_power``, the spherical Bessel functions, the
+terminating and ``|z| <= 0.95`` branches of ``hyp2f1``, every branch of
+``kummer_m``, and array top/bottom parameters of ``hyp3f2_unit`` (the
+termination index comes from a scalar top parameter).  An array argument
+gives an array of the same shape, evaluated pointwise with the same
+stopping rule; a scalar gives a scalar.  An array call raises if any of
+its points would.
 """
 
 from __future__ import annotations
@@ -347,20 +348,20 @@ def _connection_near_one(a: float, b: float, c: float, x: float):
     return first + second
 
 
-def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float,
-                terms: int = SERIES_MAX_TERMS):
+def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float):
     """Terminating 3F2(a1, a2, a3; b1, b2; 1).
 
     One of the top parameters must be a nonpositive integer -m with
-    m <= terms, otherwise ConvergenceError.  A bottom parameter whose pole
-    lands before the termination index raises DomainError; the filter
-    weight formulas are arranged so this cannot happen for valid orders.
+    m <= SERIES_MAX_TERMS, otherwise ConvergenceError.  A bottom parameter
+    whose pole lands before the termination index raises DomainError; the
+    filter weight formulas are arranged so this cannot happen for valid
+    orders.
     """
     m = _terminating_index(a1, a2, a3)
-    if m is None or m > terms:
+    if m is None:
         raise ConvergenceError(
             f"3F2 top parameters ({', '.join(map(_param_text, (a1, a2, a3)))}) "
-            f"give no termination within {terms} terms"
+            f"give no termination within {SERIES_MAX_TERMS} terms"
         )
     for b in (b1, b2):
         if _pole_before(b, m):
@@ -420,96 +421,78 @@ def kummer_m(a: float, c: float, z):
     return _series("M", a, None, c, z, kmax=None)
 
 
-def _double_factorial_odd(n: int) -> float:
-    """(2n+1)!! as a float."""
-    acc = 1.0
-    for k in range(1, n + 1):
-        acc *= 2 * k + 1
-    return acc
+def _spherical_bessel(n: int, x, ratio: bool):
+    """j_n(x), or j_n(x)/x^n when ratio, for a finite float or array x.
 
-
-def _jn_ratio_series(n: int, x: float) -> float:
-    # j_n(x)/x^n = sum_k (-x^2/2)^k / (k! (2n+2k+1)!!); a handful of terms
-    # suffice for |x| <= 1 and there is no cancellation to worry about.
-    u = -0.5 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, 40):
-        term *= u / (k * (2 * n + 2 * k + 1))
-        total += term
-        if abs(term) < SERIES_RTOL * abs(total):
-            break
-    return total / _double_factorial_odd(n)
-
-
-_JN_SERIES_CUTOFF = 1.0
-
-
-def spherical_jn(n: int, x: float) -> float:
-    """Spherical Bessel function of the first kind, j_n(x), real x, n >= 0.
-
-    Closed trigonometric forms for n <= 3, upward recurrence for x > n,
-    Miller's downward recurrence otherwise.  Small arguments switch to the
-    power series: the trig forms subtract O(x^{-n-1}) quantities to produce
-    an O(x^n) result and shed digits fast below |x| = 1.
-    """
+    |x| < 1: the ratio's power series.  |x| >= 1: the closed j_0 and j_1,
+    then the upward recurrence where |x| > n + 1 (every |x| for n <= 1)
+    and Miller's downward one elsewhere, scaled by the larger of j_0 and
+    j_1 so that no zero divides (DLMF 10.49, 3.6); around the turning
+    point |x| = n + 1/2 Miller's measured the smaller error.  Each branch
+    runs on the array clipped to its range and np.where picks; a scalar
+    runs its one branch on numpy scalars."""
     if n < 0:
-        raise ValidationError(f"spherical_jn order must be >= 0, got {n}")
-    if x < 0.0:
-        s = -1.0 if n % 2 else 1.0
-        return s * spherical_jn(n, -x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < _JN_SERIES_CUTOFF:
-        return x ** n * _jn_ratio_series(n, x)
-    if n == 0:
-        return math.sin(x) / x
-    if n == 1:
-        return math.sin(x) / (x * x) - math.cos(x) / x
-    if n == 2:
-        return (3.0 / (x * x) - 1.0) * math.sin(x) / x - 3.0 * math.cos(x) / (x * x)
-    if n == 3:
-        return ((15.0 / x ** 3 - 6.0 / x) * math.sin(x)
-                - (15.0 / (x * x) - 1.0) * math.cos(x)) / x
-    if x > n:
-        jm, j = spherical_jn(2, x), spherical_jn(3, x)
-        for k in range(3, n):
-            jm, j = j, (2 * k + 1) / x * j - jm
-        return j
-    return _jn_downward(n, x)
+        raise ValidationError(f"spherical Bessel order must be >= 0, got {n}")
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    if not a.size:
+        return a
+    lo, hi = (a, a) if a.ndim == 0 else (a.min(initial=1.0), a.max(initial=0.0))
+    if not hi < math.inf:
+        raise DomainError("spherical Bessel functions need a finite argument")
+    if lo < 1.0:
+        # 1 + sum_k (-x^2/2)^k / (k! (2n+3)...(2n+2k+1)): the first term
+        # under SERIES_RTOL of the sum comes by k = 9 and later ones are
+        # under half an ulp, so 12 terms give the bits of stopping there
+        xs = a if hi < 1.0 else np.minimum(a, 1.0)
+        u, term, total = -0.5 * xs * xs, 1.0, 1.0
+        for k in range(1, 13):
+            term = term * (u / (k * (2 * n + 2 * k + 1)))
+            total = total + term
+        total = total / math.prod(range(3, 2 * n + 2, 2), start=1.0)
+        out = series = total if ratio else xs ** n * total
+    if hi >= 1.0:
+        with np.errstate(over="ignore"):  # x*x or x^n past double range give 0
+            xb = a if lo >= 1.0 else np.maximum(a, 1.0)
+            sin = np.sin(xb)
+            j0, j1 = sin / xb, sin / (xb * xb) - np.cos(xb) / xb
+            jn = (j0, j1)[n] if n <= 1 else None
+            if n > 1 and hi > n + 1:
+                xu, jm, jn = np.maximum(xb, n + 1.0), j0, j1
+                for k in range(1, n):
+                    jm, jn = jn, (2 * k + 1) / xu * jn - jm
+            if n > 1 and lo <= n + 1:
+                # down from far above n; a step grows |j| at most 4n + 43 times,
+                # so an exact power-of-two rescale every 32 steps keeps it finite
+                xm, jp, j, at_n = np.minimum(xb, n + 1.0), 0.0, np.ones(np.shape(xb)), 0.0
+                for k in range(2 * n + 21, 0, -1):
+                    jp, j = j, (2 * k + 1) / xm * j - jp
+                    at_n = j if k - 1 == n else at_n
+                    if k % 32 == 0:
+                        e = -np.frexp(j)[1]
+                        j, jp, at_n = np.ldexp(j, e), np.ldexp(jp, e), np.ldexp(at_n, e)
+                first = np.abs(j0) >= np.abs(j1)
+                miller = at_n * np.where(first, j0, j1) / np.where(first, j, jp)
+                jn = miller if jn is None else np.where(xb > n + 1, jn, miller)
+            if ratio:
+                jn = jn / xb ** n
+        out = jn if lo >= 1.0 else np.where(a < 1.0, series, jn)
+    if not ratio and n % 2:
+        out = np.where(x < 0.0, -out, out)
+    return float(out) if out.ndim == 0 else out
 
 
-def _jn_downward(n: int, x: float) -> float:
-    # Miller's algorithm: seed the recurrence well above n with arbitrary
-    # tiny values, run it downward (the stable direction for n > x), then
-    # scale the whole sequence so the n = 0 entry matches sin(x)/x.
-    start = n + 20 + int(x)
-    jp = 0.0
-    j = 1e-30
-    out = 0.0
-    for k in range(start, 0, -1):
-        jm = (2 * k + 1) / x * j - jp
-        jp, j = j, jm
-        if k - 1 == n:
-            out = j
-        # renormalize on the fly so the sequence cannot overflow
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            out *= 1e-250
-    return out * (math.sin(x) / x) / j
+def spherical_jn(n: int, x):
+    """Spherical Bessel function of the first kind j_n(x), n >= 0, for a
+    finite float (giving a float) or array x; DomainError otherwise."""
+    return _spherical_bessel(n, x, False)
 
 
-def spherical_jn_ratio(n: int, x: float) -> float:
+def spherical_jn_ratio(n: int, x):
     """j_n(x) / x^n, continued through x = 0 with value 1/(2n+1)!!.
 
     The transfer function of the n-th order smoothed differentiator is
     proportional to this ratio; evaluating it directly keeps the low
     frequency end of a sweep exact instead of dividing two underflowing
-    quantities.
-    """
-    if n < 0:
-        raise ValidationError(f"spherical_jn_ratio order must be >= 0, got {n}")
-    if abs(x) < _JN_SERIES_CUTOFF:
-        return _jn_ratio_series(n, x)
-    return spherical_jn(n, x) / x ** n
+    quantities.  Takes x like spherical_jn; past n ~ 150 it underflows."""
+    return _spherical_bessel(n, x, True)

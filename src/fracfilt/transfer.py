@@ -14,9 +14,9 @@ live on through the Convention enum.
 
 Every ``*_transfer`` function takes omega as a float, returning a
 ``complex``, or as a numpy array, returning a complex array with one value
-per frequency.  An array call raises if any of its frequencies is outside
-the supported range; ``sweep`` then falls back to one call per frequency
-and poisons only the failing points.
+per frequency, without a Python loop over frequencies.  An array call
+raises if any of its frequencies is outside the supported range; ``sweep``
+then falls back to one call per frequency and poisons only those points.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._textio import _open_text
-from .errors import FracfiltError, ValidationError
+from .errors import DomainError, FracfiltError, ValidationError
 from .hahn import HahnFilterParams, gram_n1_weights
 from .kernels import JacobiKernelParams
 from .specfun import (
@@ -92,7 +92,8 @@ class TransferSample:
 
     @property
     def modulus(self) -> float:
-        return abs(self.value)
+        v = self.value  # abs() of a NaN value can raise on a stale libm errno
+        return math.nan if cmath.isnan(v) and not cmath.isinf(v) else abs(v)
 
     @property
     def phase(self) -> float:
@@ -131,7 +132,8 @@ def jacobi_transfer(
 
     Confluent argument capped by the kummer_m validity range, so
     |2 w delta| <= 50; beyond that use legendre_transfer (Bessel form)
-    when alpha = beta = 0."""
+    when alpha = beta = 0.  It stays on Kummer there too, as the route
+    independent of the Bessel form that checks legendre_transfer."""
     a, b, n, nu, delta = params.alpha, params.beta, params.n, params.nu, params.delta
     w = np.asarray(omega, dtype=float)
     value = (
@@ -147,17 +149,16 @@ def legendre_transfer(
     convention: Convention = Convention.WEYL,
 ) -> complex | np.ndarray:
     """Flat-weight (alpha = beta = 0) kernel response in spherical Bessel
-    form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n.  Same function as
-    jacobi_transfer at those parameters but valid for arbitrarily large
-    frequency.  The Bessel ratio is evaluated point by point."""
+    form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n, one spherical_jn_ratio
+    call.  Same function as jacobi_transfer at those parameters but valid
+    at any finite frequency; (2n+1)!! overflows (DomainError) past n = 133."""
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
-    if not delta > 0.0:
-        raise ValidationError(f"step must be positive, got {delta:g}")
-    coeff = gamma(2.0 * n + 2.0) / (2.0 ** n * gamma(n + 1.0))
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"step must be positive and finite, got {delta:g}")
+    coeff = gamma_ratio((2.0 * n + 2.0,), (n + 1.0,)) / 2.0 ** n
     w = np.asarray(omega, dtype=float)
-    bessel = np.array([spherical_jn_ratio(n, float(x)) for x in (w * delta).flat])
-    value = complex_power(1j * w, nu) * coeff * bessel.reshape(w.shape)
+    value = complex_power(1j * w, nu) * coeff * spherical_jn_ratio(n, w * delta)
     return _result(omega, value if convention is Convention.WEYL else np.conj(value))
 
 
@@ -321,7 +322,10 @@ def filter_metrics(params: HahnFilterParams) -> FilterMetrics:
     if not 0.0 < nu <= 1.0:
         raise ValidationError(f"metrics need a fractional order 0 < nu <= 1, got {nu:g}")
     h_zero = abs(truncated_dc_gain(N, nu, delta, M))
-    omega_lower = h_zero ** (1.0 / nu)
+    try:
+        omega_lower = h_zero ** (1.0 / nu)
+    except OverflowError:
+        raise DomainError(f"h_zero**(1/nu) overflows double precision at nu = {nu:g}") from None
     d = 6.0 * N + nu + 6.0 * N * nu + N * N * nu + N * N + 9.0
     omega_max = 2.0 * math.sqrt(6.0) / delta * math.sqrt((1.0 - nu) / d)
     bandwidth = omega_max - omega_lower if omega_lower < omega_max else None

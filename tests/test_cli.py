@@ -4,6 +4,7 @@ filtering, sweeps, metrics, determinism, and exit codes."""
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -498,3 +499,142 @@ class TestExitCodes:
             cli.main(["--help"])
         assert exc.value.code == 0
         assert "filter|sweep|metrics" in capsys.readouterr().out
+
+
+def _legendre_ref(n, nu, omega):
+    """(i w)^nu (2n+1)!! j_n(w)/w^n at delta = 1, from mpmath."""
+    with mpmath.workdps(40):
+        w = mpmath.mpf(omega)
+        jn = mpmath.sqrt(mpmath.pi / (2 * w)) * mpmath.besselj(n + 0.5, w)
+        return complex(mpmath.power(1j * w, nu) * mpmath.fac2(2 * n + 1) * jn / w ** n)
+
+
+def _sweep_rows(path):
+    return [line.split() for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+class TestRobustness:
+    """Inputs that once ended in a traceback or a wrong valid row."""
+
+    def test_legendre_sweep_at_multiples_of_pi(self, tmp_path, capsys):
+        out = tmp_path / "l4.txt"
+        code, _, _ = run(
+            ["sweep", "--family", "legendre", "--n", "4", "--nu", "0.5", "--delta", "1",
+             "--grid", f"{math.pi!r}:4:2:lin", "-o", str(out)],
+            capsys,
+        )
+        assert code == 0
+        omega, re_h, im_h, abs_h, _, valid = _sweep_rows(out)[0]
+        ref = _legendre_ref(4, 0.5, float(omega))
+        assert valid == "1"
+        assert abs(complex(float(re_h), float(im_h)) - ref) <= 1e-12 * abs(ref)
+        assert float(abs_h) == pytest.approx(abs(ref), rel=1e-12)
+
+        out = tmp_path / "l8.txt"
+        code, _, _ = run(
+            ["sweep", "--family", "legendre", "--n", "8", "--nu", "0.5", "--delta", "1",
+             "--grid", f"{2 * math.pi!r}:7:2:lin", "-o", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert all(row[5] == "1" for row in _sweep_rows(out))
+
+    def test_legendre_order_past_gamma_range_poisons_points(self, tmp_path, capsys):
+        out = tmp_path / "l200.json"
+        code, _, _ = run(
+            ["sweep", "--family", "legendre", "--nu", "0.5", "--delta", "1", "--n", "200",
+             "-o", str(out)],
+            capsys,
+        )
+        assert code == 0
+        samples = json.loads(out.read_text())["samples"]
+        assert len(samples) == 121
+        assert all(not s["valid"] and "overflows" in s["note"] for s in samples)
+
+    @pytest.mark.parametrize("nu,code", [("nan", 1), ("inf", 1), ("1e300", 3),
+                                         ("200", 3), ("1030", 3)])
+    def test_gl_order_out_of_range(self, tmp_path, capsys, nu, code):
+        x = 0.01 * np.arange(300)
+        write_signal(tmp_path / "in.csv", x, np.sin(x))
+        got, _, err = run(
+            ["filter", "--family", "gl", "--nu", nu, "--delta", "0.01",
+             "-i", str(tmp_path / "in.csv"), "-o", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert got == code
+        assert err.startswith("fracfilt: error:" if code == 1 else "fracfilt: numeric failure:")
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--family", "gram", "--nu", "1e-300", "--delta", "0.01", "--N", "7"],
+        ["filter", "--family", "hahn", "--nu", "200", "--n", "200", "--N", "200"],
+    ])
+    def test_overflowing_design_is_a_numeric_failure(self, tmp_path, capsys, argv):
+        x = 0.01 * np.arange(300)
+        write_signal(tmp_path / "in.csv", x, np.sin(x))
+        io_args = ["-i", str(tmp_path / "in.csv")] if argv[0] == "filter" else []
+        code, _, err = run(argv + io_args + ["-o", str(tmp_path / "o.txt")], capsys)
+        assert code == 3
+        assert "overflows double precision" in err or "leaves double range" in err
+
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = legendre\nnu = 0.5\ndelta = inf\n")
+        code, _, err = run(["sweep", "--config", str(cfg), "-o", str(tmp_path / "x.txt")],
+                           capsys)
+        assert code == 1
+        assert "delta must be a finite number" in err
+
+    def test_random_invocations_exit_cleanly(self, tmp_path, capsys):
+        """Seeded random flag sets over every mode, family and preset, then
+        the cases above: each run returns an exit code from 0 to 3 and
+        raises nothing."""
+        x = 0.01 * np.arange(300)
+        csv = str(tmp_path / "in.csv")
+        write_signal(csv, x, np.sin(x))
+        floats = ("0", "1", "-1", "0.5", "7", "170", "171", "200", "1e-300", "1e300",
+                  "nan", "inf", repr(math.pi), "1e-3")
+        ints = ("0", "1", "-1", "1", "7", "7", "170", "171", "200")
+        grids = (f"{math.pi!r}:{6 * math.pi!r}:6:lin", f"{2 * math.pi!r}:7:2:lin",
+                 f"{math.pi!r}:4:2:lin", "1e-3:1e3:30:log", "1e-300:1e300:5:log",
+                 "1:inf:3:lin", "nan:1:3:lin")
+        flags = (("--nu", 0.9, floats), ("--delta", 0.7, floats + ("0.01",) * 4),
+                 ("--n", 0.4, ints), ("--N", 0.8, ints), ("--M", 0.3, ints),
+                 ("--alpha", 0.2, floats), ("--beta", 0.2, floats),
+                 ("--omega0", 0.2, floats))
+        rng = np.random.default_rng(20141)
+        cases = []
+        for i in range(300):
+            mode = ("filter", "sweep", "metrics")[i % 3]
+            own = {"filter": ("gl", "gram", "hahn"), "metrics": ("gram", "hahn")}
+            families = own.get(mode, cli._FAMILIES) if rng.random() < 0.9 else cli._FAMILIES
+            argv = [mode]
+            if mode == "sweep" and rng.random() < 0.25:
+                argv += ["--preset", f"fig{rng.integers(1, 8)}"]
+            else:
+                argv += ["--family", families[rng.integers(len(families))]]
+            for flag, p, pool in flags:
+                if rng.random() < p:
+                    argv += [flag, pool[rng.integers(len(pool))]]
+            if mode == "sweep" and rng.random() < 0.6:
+                argv += ["--grid", grids[rng.integers(len(grids))]]
+            if rng.random() < 0.5:
+                argv.append("--causal")
+            if mode == "filter":
+                argv += ["-i", csv]
+            cases.append(argv + ["-o", str(tmp_path / ("o.json" if i % 2 else "o.txt"))])
+        legendre = ["sweep", "--family", "legendre", "--nu", "0.5", "--delta", "1",
+                    "-o", str(tmp_path / "l.json")]
+        cases += [
+            legendre + ["--n", "4", "--grid", f"{math.pi!r}:4:2:lin"],
+            legendre + ["--n", "8", "--grid", f"{2 * math.pi!r}:7:2:lin"],
+            legendre + ["--n", "200"],
+        ] + [
+            ["filter", "--family", "gl", "--nu", nu, "--delta", "0.01", "-i", csv,
+             "-o", str(tmp_path / "d.csv")]
+            for nu in ("nan", "inf", "1e300", "200")
+        ]
+        for argv in cases:
+            code = cli.main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv

@@ -7,10 +7,13 @@ evaluation routes, not by the references.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfilt.errors import (
     ConvergenceError,
@@ -19,6 +22,7 @@ from fracfilt.errors import (
     ValidationError,
 )
 from fracfilt.specfun import (
+    SERIES_RTOL,
     CutSide,
     complex_power,
     gamma,
@@ -40,6 +44,13 @@ def _mp(fn, *args):
     """Evaluate an mpmath function at high precision, return complex."""
     with mpmath.workdps(MP_DPS):
         return complex(fn(*args))
+
+
+def _jn_ref(n, x):
+    """j_n(x) = sqrt(pi / (2x)) J_{n+1/2}(x) for x > 0, from mpmath."""
+    with mpmath.workdps(MP_DPS):
+        t = mpmath.mpf(x)
+        return float(mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.besselj(n + 0.5, t))
 
 
 class TestGamma:
@@ -476,3 +487,63 @@ class TestSphericalBessel:
             spherical_jn(-1, 1.0)
         with pytest.raises(ValidationError):
             spherical_jn_ratio(-2, 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_multiples_of_pi(self, n):
+        # j_0(k pi) = 0, so no route may divide by j_0 there
+        for k in range(1, 7):
+            x = k * math.pi
+            assert spherical_jn(n, x) == pytest.approx(_jn_ref(n, x), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 40), x=st.floats(1e-3, 1e3))
+    def test_matches_mpmath_property(self, n, x):
+        got, ref = spherical_jn(n, x), _jn_ref(n, x)
+        if x <= n:
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        else:
+            assert abs(got - ref) <= 1e-13 / x
+
+    def test_array_matches_scalar_calls(self):
+        x = np.array([[-30.0, -2.5, -0.4, 0.0], [0.7, 1.0, 3.0 * math.pi, 500.0]])
+        for n in (0, 1, 2, 5, 13):
+            for f in (spherical_jn, spherical_jn_ratio):
+                got = f(n, x)
+                assert got.shape == x.shape
+                for v, g in zip(x.flat, got.flat):
+                    one = f(n, float(v))
+                    assert type(one) is float
+                    assert g == pytest.approx(one, rel=1e-15, abs=0.0)
+
+    def test_series_equals_the_stopping_rule(self):
+        """The |x| < 1 branch sums a fixed 12 terms; summing term by term
+        and stopping at the first term below SERIES_RTOL of the sum gives
+        the same bits."""
+        x = np.concatenate([np.linspace(0.0, 0.999, 500), [np.nextafter(1.0, 0.0)]])
+        for n in (0, 1, 2, 7, 30, 160):
+            got = spherical_jn_ratio(n, x)
+            for v, g in zip(x.tolist(), got.tolist()):
+                u = -0.5 * v * v
+                term = total = 1.0
+                for k in range(1, 40):
+                    term *= u / (k * (2 * n + 2 * k + 1))
+                    total += term
+                    if abs(term) < SERIES_RTOL * abs(total):
+                        break
+                assert g == total / math.prod(range(3, 2 * n + 2, 2), start=1.0)
+
+    def test_large_order_underflows_instead_of_raising(self):
+        assert spherical_jn_ratio(200, 0.5) == 0.0
+        assert spherical_jn(200, 2.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow in x*x or x^n included
+            assert spherical_jn_ratio(200, 1e3) == 0.0
+            assert spherical_jn_ratio(3, np.array([0.5, 1e300]))[1] == 0.0
+            assert spherical_jn(1, 1e200) == pytest.approx(-math.cos(1e200) / 1e200, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError):
+            spherical_jn(2, x)
+        with pytest.raises(DomainError):
+            spherical_jn_ratio(1, np.array([1.0, x]))

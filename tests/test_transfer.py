@@ -87,6 +87,15 @@ class TestTransferSample:
     def test_zero_modulus_logs_to_minus_inf(self):
         assert TransferSample(omega=1.0, value=0j).log10_modulus == -math.inf
 
+    def test_poisoned_modulus_after_a_caught_overflow(self):
+        # a caught libm overflow leaves errno set, which abs() of a complex
+        # with a NaN part reads as its own overflow
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)
+        assert math.isnan(TransferSample(1.0, complex(math.nan, math.nan)).modulus)
+        assert math.isnan(TransferSample(1.0, complex(1.0, math.nan)).modulus)
+        assert TransferSample(1.0, complex(math.inf, math.nan)).modulus == math.inf
+
 
 class TestIdealTransfer:
     def test_conventions_are_conjugate(self):
@@ -151,6 +160,23 @@ class TestLegendreTransfer:
             legendre_transfer(0, 0.5, 1.0, 1.0)
         with pytest.raises(ValidationError):
             legendre_transfer(1, 0.5, 0.0, 1.0)
+        with pytest.raises(ValidationError):
+            legendre_transfer(1, 0.5, math.inf, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 100])
+    def test_matches_mpmath(self, n):
+        """(i w)^nu (2n+1)!! j_n(w)/w^n, at multiples of pi among the
+        frequencies and at orders whose (2n+1)!! passes Gamma(171)."""
+        omega = np.array([1e-3, 0.5, math.pi, 2.0 * math.pi, 7.0, 60.0, 1e3])
+        got = legendre_transfer(n, 0.5, 1.0, omega)
+        with mpmath.workdps(40):
+            for w, g in zip(omega.tolist(), got):
+                t = mpmath.mpf(w)
+                jn = mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.besselj(n + 0.5, t)
+                ref = complex(mpmath.power(1j * t, 0.5) * mpmath.fac2(2 * n + 1) * jn / t ** n)
+                # past w = n, j_n's error is absolute, of order eps / w
+                bound = float(mpmath.fac2(2 * n + 1) / t ** (n + 0.5)) if w > n else 0.0
+                assert abs(g - ref) <= 1e-12 * max(abs(ref), bound)
 
 
 class TestHahnTransfer:
