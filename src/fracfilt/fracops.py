@@ -168,13 +168,17 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
 
 def gl_weights(nu: float, terms: int, delta: float) -> FilterWeights:
     """The fractional backward difference as a filter: forward tap
-    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu (past
-    double range a DomainError), with c_k = (-nu)_k / k! from gl_coefficients."""
+    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu, with
+    c_k = (-nu)_k / k! from gl_coefficients.  A prefactor or a tap past
+    double range raises DomainError."""
     try:
         prefactor = delta ** -nu
     except OverflowError:
         raise DomainError(f"delta**-nu overflows at delta = {delta:g}, nu = {nu:g}") from None
-    coeffs = gl_coefficients(nu, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = gl_coefficients(nu, terms)
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"gl taps of order {nu:g} overflow double precision")
     return FilterWeights(forward=coeffs[:1], backward=coeffs[1:], prefactor=prefactor)
 
 

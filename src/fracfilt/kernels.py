@@ -9,13 +9,19 @@ integer nu = n the tail vanishes and the interior collapses onto the
 classical orthogonal-polynomial derivative approximation.
 
 Kernel functions here return the pure shape; apply_kernel owns the
-delta**-nu scaling and the tail truncation bookkeeping.
+delta**-nu scaling and the tail truncation bookkeeping.  jacobi_kernel
+takes a float or a whole array of y, and apply_kernel integrates with a
+nested tanh-sinh rule over whole node arrays, one kernel call per level
+and no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, GrowthError, ValidationError
 from .specfun import SQRT_TWO_PI, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
@@ -26,6 +32,14 @@ TAIL_REL_TARGET = 1e-8
 # consecutive non-decreasing tail chunks before giving up on decay
 GROWTH_CHUNKS = 3
 _TAIL_MAX_CUTOFF = 1e12
+# tanh-sinh nodes reach |t| = _TS_T_MAX, where a node sits ~1e-275 from
+# its end, and stop earlier where the kernel's endpoint power leaves less
+# than _TS_END_MASS of its mass beyond them (at d ~ 1e-20 for a bounded
+# kernel, never before t = _TS_T_MAX for exponents below about -0.93).
+# A chunk gets at most _TS_LEVELS levels (step 1/2 down to 2^-_TS_LEVELS).
+_TS_T_MAX = 6.0
+_TS_END_MASS = 1e-20
+_TS_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -75,47 +89,80 @@ def gegenbauer_legendre_params(
     )
 
 
-def jacobi_kernel(params: JacobiKernelParams, y: float) -> float:
-    """Kernel shape k(y): zero below -1, polynomial-type interior on
-    (-1, 1), algebraic tail for y > 1.
+def jacobi_kernel(params: JacobiKernelParams, y, *, _gaps=None):
+    """Kernel shape k(y) for a float y (giving a float) or an array y
+    (giving an array of the same shape): zero below -1, polynomial-type
+    interior on (-1, 1), algebraic tail for y > 1.
 
-    The two branches share a finite one-sided limit at y = 1 for
-    fractional nu (the interior hypergeometric divergence cancels the
-    vanishing prefactor), but the formulas themselves are singular there,
-    so y = +1 is refused; y = -1 closes continuously with the zero side
-    whenever the interior exponent allows it.
+    At y = 1 the kernel behaves like |1 - y|^(n+alpha-nu) on both sides
+    (a finite one-sided limit when that exponent is positive); the
+    formulas are singular there, so y = +1 is refused.  y = -1 closes
+    continuously with the zero side whenever the interior exponent
+    n+beta-nu allows it.  Each side is written so that its 2F1 stays
+    finite as its argument reaches 1 (Euler's transformation where the
+    direct form would diverge), and the powers of 1 + y and |1 - y| carry
+    the singular part.  ``_gaps`` = (1 + y, 1 - y) lets a quadrature pass
+    those two distances at full relative precision for nodes closer to
+    +-1 than a double y can resolve.
     """
-    a, b, n, nu = params.alpha, params.beta, params.n, params.nu
-    if y < -1.0:
-        return 0.0
-    if y == 1.0:
+    u, v = (1.0 + y, 1.0 - y) if _gaps is None else _gaps
+    if not isinstance(u, np.ndarray):
+        if u < 0.0:
+            return 0.0
+        _check_kernel_points(params, u == 0.0, v == 0.0, u != u)
+        if u == 0.0:
+            return 0.0
+        return _kernel_piece(params, u, v, v > 0.0)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    _check_kernel_points(params, (u == 0.0).any(), (v == 0.0).any(), np.isnan(u).any())
+    out = np.zeros(u.shape)
+    for at, interior in (((u > 0.0) & (v > 0.0), True), (v < 0.0, False)):
+        if at.any():
+            out[at] = _kernel_piece(params, u[at], v[at], interior)
+    return out
+
+
+def _check_kernel_points(params: JacobiKernelParams, at_minus_one, at_one, nan) -> None:
+    if nan:
+        raise DomainError("kernel argument is NaN")
+    if at_one:
         raise DomainError(
             "kernel branch junction y = 1; evaluate nearby and take the limit"
         )
-    if y == -1.0:
-        if n + b - nu > 0.0:
-            return 0.0
+    if at_minus_one and not params.n + params.beta - params.nu > 0.0:
         raise DomainError(
-            f"kernel endpoint y = -1 is singular for nu >= n + beta = {n + b:g}"
+            f"kernel endpoint y = -1 is singular for nu >= n + beta = "
+            f"{params.n + params.beta:g}"
         )
-    if y < 1.0:
+
+
+def _kernel_piece(params: JacobiKernelParams, u, v, interior: bool):
+    """k at points with u = 1 + y > 0 and v = 1 - y, all on one side of
+    y = 1: the interior (v > 0) or the tail (v < 0)."""
+    a, b, n, nu = params.alpha, params.beta, params.n, params.nu
+    p = n + a - nu                      # exponent of |1 - y| at y = 1
+    fractional = rgamma(-nu) != 0.0
+    if interior:
+        q = n + b - nu                  # exponent of 1 + y at y = -1
         coeff = gamma(2.0 * n + a + b + 2.0) / (
             2.0 ** (2.0 * n - nu + a + b + 1.0)
             * gamma(n + a + 1.0) * gamma(n - nu + b + 1.0)
         )
-        return (
-            coeff
-            * (1.0 - y) ** (n + a - nu) * (1.0 + y) ** (n + b - nu)
-            * hyp2f1(-nu, 2.0 * n - nu + a + b + 1.0, n - nu + b + 1.0, (1.0 + y) / 2.0)
-        )
-    lead = rgamma(-nu)
-    if lead == 0.0:
+        if fractional and p > 0.0:
+            # Euler: the (1 - y)^p in front cancels the 2F1's divergence
+            return coeff * 2.0 ** p * u ** q * hyp2f1(
+                n + b + 1.0, -n - a, n - nu + b + 1.0, u / 2.0)
+        return coeff * v ** p * u ** q * hyp2f1(
+            -nu, 2.0 * n - nu + a + b + 1.0, n - nu + b + 1.0, u / 2.0)
+    if not fractional:
         # integer order: no tail at all
-        return 0.0
-    return (
-        lead * (1.0 + y) ** (-nu - 1.0)
-        * hyp2f1(nu + 1.0, n + b + 1.0, 2.0 * n + a + b + 2.0, 2.0 / (1.0 + y))
-    )
+        return 0.0 * u
+    lead = rgamma(-nu) * u ** (-nu - 1.0)
+    if p < 0.0:
+        # Euler: 2F1 = (1 - z)^p F(...), with 1 - z = (y - 1)/(y + 1)
+        return lead * (-v / u) ** p * hyp2f1(
+            2.0 * n + a + b + 1.0 - nu, n + a + 1.0, 2.0 * n + a + b + 2.0, 2.0 / u)
+    return lead * hyp2f1(nu + 1.0, n + b + 1.0, 2.0 * n + a + b + 2.0, 2.0 / u)
 
 
 def laguerre_kernel(alpha: float, n: int, nu: float, y: float) -> float:
@@ -178,11 +225,66 @@ class KernelApplication:
     tail_bound: float
 
 
-def _quad(f, lo: float, hi: float) -> float:
-    from scipy import integrate
+@functools.cache
+def _tanh_sinh_level(level: int):
+    """One level of the nested tanh-sinh rule on [-1, 1] (Takahashi & Mori
+    1974): s = tanh(pi/2 sinh t) at t = j/2 for level 0 and at the odd
+    multiples of 2^-(level+1) after it, |t| <= _TS_T_MAX.  Returns each
+    node's distances 1 + s and 1 - s, both to full relative precision,
+    and its weight with the level's step folded in."""
+    h = 0.5 ** (level + 1)
+    step = 2 if level else 1
+    j = np.arange(step - 1, round(_TS_T_MAX / h) + 1, step)
+    t = np.concatenate((-j[::-1], j[j > 0])) * h
+    e = np.exp(-math.pi * np.sinh(np.abs(t)))
+    near = 2.0 * e / (1.0 + e)          # 1 - |s|, without cancellation
+    far = 2.0 - near
+    lower = np.where(t < 0.0, near, far)
+    upper = np.where(t < 0.0, far, near)
+    weight = h * (0.5 * math.pi) * np.cosh(t) * lower * upper
+    return lower, upper, weight
 
-    value, _ = integrate.quad(f, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-10)
-    return value
+
+def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
+               powers: tuple[float, float], with_edge: bool):
+    """integral of f(x + delta*y) k(y) over [lo, hi] by nested tanh-sinh
+    levels, stopping once two agree to max(1e-13, 1e-10 |I|).
+
+    `powers` are the exponents of the kernel's behaviour at lo and hi.
+    Nodes carry their distances to both ends, so those powers never see a
+    rounded y, and a node is skipped where the mass left between it and
+    its end, d^(1 + min(power, 0)), is below _TS_END_MASS.  With
+    with_edge also returns k(hi), taken in the first kernel call."""
+    half = 0.5 * (hi - lo)
+    cut_lo, cut_hi = (_TS_END_MASS ** (1.0 / (1.0 + min(e, 0.0))) for e in powers)
+    estimate = edge = None
+    for level in range(_TS_LEVELS):
+        lower, upper, weight = _tanh_sinh_level(level)
+        d_lo, d_hi = half * lower, half * upper
+        keep = (d_lo > cut_lo) & (d_hi > cut_hi)
+        d_lo, d_hi, weight = d_lo[keep], d_hi[keep], weight[keep]
+        near_lo = d_lo <= d_hi
+        y = np.where(near_lo, lo + d_lo, hi - d_hi)
+        u = np.where(near_lo, (1.0 + lo) + d_lo, (1.0 + hi) - d_hi)    # 1 + y
+        v = np.where(near_lo, (1.0 - lo) - d_lo, (1.0 - hi) + d_hi)    # 1 - y
+        if with_edge and level == 0:
+            k = jacobi_kernel(params, np.append(y, hi),
+                              _gaps=(np.append(u, 1.0 + hi), np.append(v, 1.0 - hi)))
+            k, edge = k[:-1], float(k[-1])
+        else:
+            k = jacobi_kernel(params, y, _gaps=(u, v))
+        fy = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float)
+        part = half * float(weight @ (fy * k))
+        if estimate is not None:
+            refined = 0.5 * estimate + part
+            if abs(refined - estimate) <= max(1e-13, 1e-10 * abs(refined)):
+                return refined, edge
+            part = refined
+        estimate = part
+    raise ConvergenceError(
+        f"kernel integral over [{lo:g}, {hi:g}] did not settle within "
+        f"{_TS_LEVELS} tanh-sinh levels"
+    )
 
 
 def apply_kernel(
@@ -194,13 +296,15 @@ def apply_kernel(
 ) -> KernelApplication:
     """delta**-nu * integral of f(x + delta*y) k(y) dy over y > -1.
 
-    The interior (-1, 1) is one adaptive quadrature; the tail is summed in
-    doubling chunks [1,2], [2,4], ... until the remainder bound -- last
-    kernel value continued as C*y^(-nu-1) times the current |f| -- drops
-    below TAIL_REL_TARGET relative to the interior part, or up to
-    tail_cutoff when given.  f must decay (or at least grow slower than
-    the tail dies); decay_check watches the chunk magnitudes and raises
-    GrowthError when three in a row fail to shrink.
+    The interior (-1, 1) and each tail chunk [1,2], [2,4], ... is one
+    nested tanh-sinh integral: one jacobi_kernel call over a whole level
+    of nodes, one f call per node with a float.  Chunks are added until
+    the remainder bound -- last kernel value continued as C*y^(-nu-1)
+    times the current |f| -- drops below TAIL_REL_TARGET relative to the
+    interior part, or up to tail_cutoff when given.  f must decay (or at
+    least grow slower than the tail dies); decay_check watches the chunk
+    magnitudes and raises GrowthError when three in a row fail to shrink.
+    A chunk whose levels do not settle raises ConvergenceError.
     """
     nu, delta = params.nu, params.delta
     if not nu > 0.0:
@@ -210,10 +314,9 @@ def apply_kernel(
     if tail_cutoff is not None and not tail_cutoff > 1.0:
         raise ValidationError(f"tail cutoff must exceed 1, got {tail_cutoff:g}")
 
-    def integrand(y: float) -> float:
-        return f(x + delta * y) * jacobi_kernel(params, y)
-
-    interior = _quad(integrand, -1.0, 1.0)
+    at_one = params.n + params.alpha - nu    # k ~ |1 - y|^at_one at y = 1
+    interior, _ = _integrate(f, params, x, -1.0, 1.0,
+                             (params.n + params.beta - nu, at_one), False)
     scale = max(abs(interior), 1e-300)
 
     if rgamma(-nu) == 0.0:
@@ -227,7 +330,8 @@ def apply_kernel(
     prev_mag = math.inf
     while True:
         hi = 2.0 * lo if tail_cutoff is None else min(2.0 * lo, tail_cutoff)
-        chunk = _quad(integrand, lo, hi)
+        chunk, k_hi = _integrate(f, params, x, lo, hi,
+                                 (at_one if lo == 1.0 else 0.0, 0.0), True)
         tail += chunk
         if decay_check:
             mag = abs(chunk)
@@ -240,7 +344,7 @@ def apply_kernel(
             prev_mag = mag
         # remainder bound: kernel continued as |k(hi)| (y/hi)^(-nu-1),
         # |f| frozen at its current edge value
-        bound = abs(f(x + delta * hi)) * abs(jacobi_kernel(params, hi)) * hi / nu
+        bound = abs(f(x + delta * hi)) * abs(k_hi) * hi / nu
         if tail_cutoff is not None and hi >= tail_cutoff:
             break
         if bound <= TAIL_REL_TARGET * scale:

@@ -9,13 +9,14 @@ exception from :mod:`fracfilt.errors` when asked to leave its supported
 region, instead of returning a number that merely looks plausible.
 
 Parameters are scalar.  The argument may also be a numpy array where a
-sweep needs it: ``complex_power``, the spherical Bessel functions, the
-terminating and ``|z| <= 0.95`` branches of ``hyp2f1``, every branch of
-``kummer_m``, and array top/bottom parameters of ``hyp3f2_unit`` (the
-termination index comes from a scalar top parameter).  An array argument
-gives an array of the same shape, evaluated pointwise with the same
-stopping rule; a scalar gives a scalar.  An array call raises if any of
-its points would.
+sweep or a quadrature needs it: ``complex_power``, the spherical Bessel
+functions, every real branch of ``hyp2f1`` (each point down the branch
+its scalar would take) and its ``|z| <= 0.95`` branch for non-real
+arrays, every branch of ``kummer_m``, and array top/bottom parameters of
+``hyp3f2_unit`` (the termination index comes from a scalar top
+parameter).  An array argument gives an array of the same shape,
+evaluated pointwise with the same stopping rule; a scalar gives a
+scalar.  An array call raises if any of its points would.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from .errors import ConvergenceError, DomainError, PoleError, ValidationError
 SERIES_RTOL = 1e-16
 SERIES_CONFIRM = 3
 SERIES_MAX_TERMS = 10000
+# An array 2F1 series takes its terms in blocks: _FIRST_BLOCK terms,
+# doubling after each block up to _LAST_BLOCK, so a point that needs k
+# terms costs O(log k) numpy calls and at most twice the arithmetic.
+_FIRST_BLOCK = 32
+_LAST_BLOCK = 1024
 
 # Beyond this modulus the alternating Kummer series loses all significant
 # digits in double precision (partial sums grow like e^{|z|} before they
@@ -207,7 +213,9 @@ def _series(name: str, a: float, b: float | None, c: float, z, kmax: int | None)
     With kmax the terminating sum of terms 0..kmax.  Otherwise the shared
     stopping rule runs, per point for an array z: a point's sum is frozen
     once it has settled, and points still moving after SERIES_MAX_TERMS
-    raise ConvergenceError.
+    raise ConvergenceError.  An array 2F1 series takes its terms in blocks
+    (_sum_by_block); an array confluent series one term at a time
+    (_sum_by_term), see there.
     """
     scalar = not isinstance(z, np.ndarray)
     if kmax is not None:
@@ -236,36 +244,80 @@ def _series(name: str, a: float, b: float | None, c: float, z, kmax: int | None)
                 below = 0
         live_abs = abs(z)
     else:
-        z = np.asarray(z)
         out = np.ones(z.shape, np.result_type(z, 1.0))
-        flat = out.reshape(-1)
-        live = np.arange(z.size)            # flat indices still summing
-        zl = z.reshape(-1)
-        term = total = flat.copy()
-        below = np.zeros(z.size, dtype=int)
-        for k in range(SERIES_MAX_TERMS):
-            if not live.size:
-                return out
-            term = term * (a + k)
-            if b is not None:
-                term = term * (b + k)
-            term = term / ((c + k) * (k + 1)) * zl
-            total = total + term
-            below = np.where(np.abs(term) < SERIES_RTOL * np.abs(total), below + 1, 0)
-            done = below >= SERIES_CONFIRM
-            if done.any():
-                flat[live[done]] = total[done]
-                keep = ~done
-                live, zl, term, total, below = (
-                    live[keep], zl[keep], term[keep], total[keep], below[keep])
-        if not live.size:
+        flat, zl = out.reshape(-1), z.reshape(-1)
+        if b is None:
+            unsettled = _sum_by_term(flat, a, c, zl)
+        else:
+            unsettled = _sum_by_block(flat, a, b, c, zl)
+        if not unsettled.size:
             return out
-        live_abs = float(np.max(np.abs(zl)))
+        live_abs = float(np.max(np.abs(unsettled)))
     params = ", ".join(f"{p:g}" for p in (a, b, c) if p is not None)
     raise ConvergenceError(
         f"{name}({params}) series did not settle within {SERIES_MAX_TERMS} "
         f"terms (|z|={live_abs:g})"
     )
+
+
+def _sum_by_term(flat: np.ndarray, a: float, c: float, zl: np.ndarray):
+    """The confluent series at the points zl into flat (all ones on entry),
+    one numpy step per term over the points still moving, with the scalar
+    loop's arithmetic.  This suits the confluent series' callers, frequency
+    sweeps of many points that need tens of terms each, whose cancelling
+    imaginary arguments turn any change of rounding order into a change
+    in the ninth digit.  Returns the points that never settled."""
+    live = np.arange(zl.size)               # flat indices still summing
+    term = total = flat.copy()
+    below = np.zeros(zl.size, dtype=int)
+    for k in range(SERIES_MAX_TERMS):
+        if not live.size:
+            break
+        term = term * (a + k)
+        term = term / ((c + k) * (k + 1)) * zl
+        total = total + term
+        below = np.where(np.abs(term) < SERIES_RTOL * np.abs(total), below + 1, 0)
+        done = below >= SERIES_CONFIRM
+        if done.any():
+            flat[live[done]] = total[done]
+            keep = ~done
+            live, zl, term, total, below = (
+                live[keep], zl[keep], term[keep], total[keep], below[keep])
+    return zl
+
+
+def _sum_by_block(flat: np.ndarray, a: float, b: float, c: float, zl: np.ndarray):
+    """The 2F1 series at the points zl into flat (all ones on entry), terms
+    k0+1..k0+width at once for every point still moving: a cumprod of the
+    term ratios and a cumsum continuing each running total, with `recent`
+    carrying each point's last SERIES_CONFIRM - 1 term tests into the next
+    block.  This suits the 2F1 series' caller, the kernel quadrature:
+    tens of points, some needing ~700 terms near |z| = 0.95.  Sums agree
+    with the scalar loop to rounding.  Returns the points that never
+    settled."""
+    live = np.arange(zl.size)               # flat indices still summing
+    term = total = flat.copy()
+    recent = np.zeros((zl.size, SERIES_CONFIRM - 1), dtype=bool)
+    k0, width = 0, _FIRST_BLOCK
+    while live.size and k0 < SERIES_MAX_TERMS:
+        k = np.arange(k0, min(k0 + width, SERIES_MAX_TERMS), dtype=float)
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        terms = np.cumprod(ratio * zl[:, None], axis=1)
+        terms *= term[:, None]
+        sums = np.cumsum(np.concatenate((total[:, None], terms), axis=1), axis=1)[:, 1:]
+        small = np.concatenate((recent, np.abs(terms) < SERIES_RTOL * np.abs(sums)), axis=1)
+        settled = small[:, SERIES_CONFIRM - 1:].copy()
+        for back in range(1, SERIES_CONFIRM):
+            settled &= small[:, SERIES_CONFIRM - 1 - back:-back]
+        done = settled.any(axis=1)
+        if done.any():
+            flat[live[done]] = sums[done, settled[done].argmax(axis=1)]
+        keep = ~done
+        live, zl = live[keep], zl[keep]
+        term, total = terms[keep, -1], sums[keep, -1]
+        recent = small[keep, small.shape[1] - (SERIES_CONFIRM - 1):]
+        k0, width = k0 + k.size, min(2 * width, _LAST_BLOCK)
+    return zl
 
 
 def hyp2f1(a: float, b: float, c: float, z):
@@ -277,16 +329,17 @@ def hyp2f1(a: float, b: float, c: float, z):
       complex, scalar or array).  The bottom parameter may itself be a
       nonpositive integer as long as its pole sits beyond the termination
       index.
-    * |z| <= 0.95: direct series (complex z allowed; an array z must lie
-      inside this disk as a whole).
+    * |z| <= 0.95: direct series (complex z allowed).
     * real z < -0.5: Pfaff map z -> z/(z-1) onto (0, 1), then recurse.
     * real 0.95 < z < 1: connection formula in powers of 1 - z.  Needs
       c - a - b away from the integers; the logarithmic cases are not
       implemented and raise ConvergenceError.
     * z = 1: Gauss summation, requires c - a - b > 0.
 
-    Anything else (real z > 1 sits on the branch cut, large non-real z) is
-    outside the supported region and raises DomainError.
+    Anything else (real z > 1 sits on the branch cut, non-real z with
+    |z| > 0.95) is outside the supported region and raises DomainError.
+    A real array takes each point down the branch its scalar would take;
+    a non-real array must lie inside |z| <= 0.95 as a whole.
     """
     m = _terminating_index(a, b)
     if m is not None:
@@ -296,12 +349,22 @@ def hyp2f1(a: float, b: float, c: float, z):
         raise PoleError(f"2F1 undefined for bottom parameter c = {c:g}")
 
     if isinstance(z, np.ndarray):
-        if np.all(np.abs(z) <= 0.95):
-            return _series("2F1", a, b, c, z, kmax=None)
-        raise DomainError(
-            "2F1 takes an array argument only for a terminating series or "
-            "for |z| <= 0.95 throughout; evaluate other points one at a time"
-        )
+        if np.iscomplexobj(z):
+            if np.all(np.abs(z) <= 0.95):
+                return _series("2F1", a, b, c, z, kmax=None)
+            if np.any(z.imag != 0.0):
+                raise DomainError(
+                    "2F1 takes a non-real array argument only for |z| <= 0.95 "
+                    "throughout; evaluate other points one at a time"
+                )
+        x = z.real.reshape(-1)
+        branch = np.select(
+            [x < -0.5, np.abs(x) <= 0.95, x < 1.0, x == 1.0], [0, 1, 2, 3], -1)
+        out = np.empty(x.shape)
+        for k in np.unique(branch):     # -1, the points outside, first
+            at = branch == k
+            out[at] = _real_hyp2f1(a, b, c, x[at], float(x[at][0]))
+        return out.reshape(z.shape)
 
     if isinstance(z, complex) and z.imag != 0.0:
         if abs(z) <= 0.95:
@@ -309,23 +372,28 @@ def hyp2f1(a: float, b: float, c: float, z):
         raise DomainError(
             f"2F1 supports non-real arguments only for |z| <= 0.95, got |z| = {abs(z):g}"
         )
-
     x = z.real if isinstance(z, complex) else float(z)
-    if x < -0.5:
+    return _real_hyp2f1(a, b, c, x, x)
+
+
+def _real_hyp2f1(a: float, b: float, c: float, x, at: float):
+    """Non-terminating 2F1 at real x, a float or an array whose points all
+    take the branch of the float `at`."""
+    if at < -0.5:
         # Pfaff: 2F1(a, b; c; x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)),
         # and x/(x-1) lands in (1/3, 1) where the other branches apply.
         return (1.0 - x) ** (-a) * hyp2f1(a, c - b, c, x / (x - 1.0))
-    if abs(x) <= 0.95:
+    if abs(at) <= 0.95:
         return _series("2F1", a, b, c, x, kmax=None)
-    if x < 1.0:
+    if at < 1.0:
         return _connection_near_one(a, b, c, x)
-    if x == 1.0:
+    if at == 1.0:
         if c - a - b <= 0.0:
             raise DomainError(
                 f"2F1 diverges at z = 1 for c - a - b = {c - a - b:g} <= 0"
             )
         return gamma(c) * gamma(c - a - b) * rgamma(c - a) * rgamma(c - b)
-    raise DomainError(f"2F1 argument z = {x:g} lies on the branch cut [1, inf)")
+    raise DomainError(f"2F1 argument z = {at:g} lies on the branch cut [1, inf)")
 
 
 def _connection_near_one(a: float, b: float, c: float, x: float):

@@ -348,20 +348,21 @@ def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
     its own instead.  There failures (unsupported frequency range, branch
     problems) poison the individual point, flagged with the reason, rather
     than shortening the output: a sweep always has exactly one sample per
-    grid frequency."""
+    grid frequency.  On either route a value that came out inf or NaN is
+    kept but flagged invalid, as an overflow."""
     try:
         values = np.asarray(transfer(grid.points), dtype=complex)
     except (FracfiltError, TypeError, ValueError):
         values = None
     if values is not None and values.shape == grid.points.shape:
-        return [
-            TransferSample(omega=w, value=v)
-            for w, v in zip(grid.points.tolist(), values.tolist())
-        ]
+        points = zip(grid.points.tolist(), values.tolist())
+        if np.isfinite(values).all():
+            return [TransferSample(omega=w, value=v) for w, v in points]
+        return [_sample(w, v) for w, v in points]
     out: list[TransferSample] = []
     for w in grid.points.tolist():
         try:
-            out.append(TransferSample(omega=w, value=complex(transfer(w))))
+            out.append(_sample(w, complex(transfer(w))))
         except FracfiltError as exc:
             out.append(
                 TransferSample(
@@ -370,6 +371,13 @@ def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
                 )
             )
     return out
+
+
+def _sample(omega: float, value: complex) -> TransferSample:
+    if cmath.isfinite(value):
+        return TransferSample(omega=omega, value=value)
+    return TransferSample(omega=omega, value=value, valid=False,
+                          note="transfer value overflows double precision (not finite)")
 
 
 def fit_loglog_slope(

@@ -565,6 +565,29 @@ class TestRobustness:
         assert got == code
         assert err.startswith("fracfilt: error:" if code == 1 else "fracfilt: numeric failure:")
 
+    def test_gl_taps_past_double_range_exit_3(self, tmp_path, capsys):
+        # prefactor 1 at delta = 1, but (-nu)_k / k! overflows near k = 550
+        x = np.arange(3000.0)
+        write_signal(tmp_path / "in.csv", x, np.exp(-1e-3 * x))
+        code, _, err = run(
+            ["filter", "--family", "gl", "--nu", "1100.5", "--causal",
+             "-i", str(tmp_path / "in.csv"), "-o", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert "overflow" in err and not (tmp_path / "o.csv").exists()
+
+    def test_overflowing_sweep_points_are_not_valid(self, tmp_path, capsys):
+        out = tmp_path / "ideal.txt"
+        code, _, _ = run(["sweep", "--family", "ideal", "--nu", "200", "-o", str(out)],
+                         capsys)
+        assert code == 0
+        rows = _sweep_rows(out)
+        overflowed = [r for r in rows if "inf" in r[1:5]]
+        assert len(overflowed) == 14
+        assert all(r[5] == "0" for r in overflowed)
+        assert all(r[5] == "1" for r in rows if r not in overflowed)
+
     @pytest.mark.parametrize("argv", [
         ["metrics", "--family", "gram", "--nu", "1e-300", "--delta", "0.01", "--N", "7"],
         ["filter", "--family", "hahn", "--nu", "200", "--n", "200", "--N", "200"],

@@ -3,10 +3,11 @@ kernel-integral operator with its dual-route oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from fracfilt.errors import DomainError, GrowthError, ValidationError
+from fracfilt.errors import ConvergenceError, DomainError, GrowthError, ValidationError
 from fracfilt.kernels import (
     JacobiKernelParams,
     apply_kernel,
@@ -21,6 +22,34 @@ from fracfilt.kernels import (
 from fracfilt.specfun import SQRT_TWO_PI, gamma
 
 LEGENDRE_HALF = JacobiKernelParams(alpha=0.0, beta=0.0, n=1, nu=0.5, delta=1.0)
+
+
+def exp_closed_form(p: JacobiKernelParams, x: float) -> float:
+    """apply_kernel of e^-t: e^(-x-delta) 1F1(n+a+1; 2n+a+b+2; 2 delta)."""
+    with mpmath.workdps(30):
+        return float(mpmath.exp(-x - p.delta) * mpmath.hyp1f1(
+            p.n + p.alpha + 1, 2 * p.n + p.alpha + p.beta + 2, 2 * p.delta))
+
+
+def mp_kernel_integral(p: JacobiKernelParams, x: float, f) -> float:
+    """delta^-nu times the integral of f(x + delta y) k(y) over y > -1 by
+    mpmath quadrature of the direct kernel formulas at 20 digits."""
+    with mpmath.workdps(20):
+        a, b, nu, d = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.nu, p.delta))
+        n = p.n
+        coeff = mpmath.gamma(2 * n + a + b + 2) / (
+            2 ** (2 * n - nu + a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n - nu + b + 1))
+
+        def interior(y):
+            return f(x + d * y) * coeff * (1 - y) ** (n + a - nu) * (1 + y) ** (n + b - nu) \
+                * mpmath.hyp2f1(-nu, 2 * n - nu + a + b + 1, n - nu + b + 1, (1 + y) / 2)
+
+        def tail(y):
+            return f(x + d * y) * mpmath.rgamma(-nu) * (1 + y) ** (-nu - 1) \
+                * mpmath.hyp2f1(nu + 1, n + b + 1, 2 * n + a + b + 2, 2 / (1 + y))
+
+        total = mpmath.quad(interior, [-1, 0, 1]) + mpmath.quad(tail, [1, 2, 4, 8, 16, mpmath.inf])
+        return float(total / d ** nu)
 
 
 class TestParams:
@@ -98,6 +127,57 @@ class TestJacobiKernel:
         p = JacobiKernelParams(alpha=0.0, beta=-0.5, n=1, nu=0.5, delta=1.0)
         with pytest.raises(DomainError):
             jacobi_kernel(p, -1.0)
+
+
+class TestJacobiKernelArrays:
+    Y = np.array([-3.0, -1.0, -1.0 + 1e-12, -0.7, -0.2, 0.0, 0.45, 0.9, 0.97, 0.999,
+                  1.0 - 1e-9, 1.0 + 1e-9, 1.001, 1.05, 1.3, 2.0, 7.5, 40.0, 1e6])
+
+    @pytest.mark.parametrize("alpha, beta, n, nu", [
+        (0.0, 0.0, 1, 0.5), (0.5, 0.5, 1, 0.3), (-0.6, 0.4, 1, 0.8),
+        (-0.85, 0.2, 1, 0.9), (1.3, 0.2, 2, 2.0)])
+    def test_array_matches_scalar_calls(self, alpha, beta, n, nu):
+        # both sides of y = 1 with the singular (alpha < nu - n) and the
+        # bounded exponent there, and an integer order
+        p = JacobiKernelParams(alpha=alpha, beta=beta, n=n, nu=nu, delta=1.0)
+        got = jacobi_kernel(p, self.Y.reshape(-1, 1))
+        assert got.shape == (self.Y.size, 1)
+        for y, g in zip(self.Y.tolist(), got.ravel()):
+            assert g == pytest.approx(jacobi_kernel(p, y), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, beta, n, nu", [(-0.892, -0.334, 2, 1.86),
+                                                    (-0.897, 0.319, 1, 0.65)])
+    def test_junction_neighbourhood_against_mpmath(self, alpha, beta, n, nu):
+        # n + alpha < nu: the kernel is singular on both sides of y = 1,
+        # and the direct tail formula's 2F1 diverges there
+        p = JacobiKernelParams(alpha=alpha, beta=beta, n=n, nu=nu, delta=1.0)
+        with mpmath.workdps(40):
+            a, b, mnu = (mpmath.mpf(v) for v in (alpha, beta, nu))
+            for y in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-3):
+                my = mpmath.mpf(y)
+                if y < 1.0:
+                    ref = mpmath.gamma(2 * n + a + b + 2) / (
+                        2 ** (2 * n - mnu + a + b + 1) * mpmath.gamma(n + a + 1)
+                        * mpmath.gamma(n - mnu + b + 1)) * (1 - my) ** (n + a - mnu) \
+                        * (1 + my) ** (n + b - mnu) * mpmath.hyp2f1(
+                            -mnu, 2 * n - mnu + a + b + 1, n - mnu + b + 1, (1 + my) / 2)
+                else:
+                    ref = mpmath.rgamma(-mnu) * (1 + my) ** (-mnu - 1) * mpmath.hyp2f1(
+                        mnu + 1, n + b + 1, 2 * n + a + b + 2, 2 / (1 + my))
+                assert jacobi_kernel(p, y) == pytest.approx(float(ref), rel=1e-10)
+
+    def test_float_in_float_out(self):
+        assert type(jacobi_kernel(LEGENDRE_HALF, 0.3)) is float
+        assert type(jacobi_kernel(LEGENDRE_HALF, 3.0)) is float
+        assert type(jacobi_kernel(LEGENDRE_HALF, -2.0)) is float
+
+    def test_point_rules_hold_in_arrays(self):
+        with pytest.raises(DomainError):
+            jacobi_kernel(LEGENDRE_HALF, np.array([0.2, 1.0, 3.0]))
+        singular_left = JacobiKernelParams(alpha=0.0, beta=-0.5, n=1, nu=0.5, delta=1.0)
+        with pytest.raises(DomainError):
+            jacobi_kernel(singular_left, np.array([-1.0, 0.3]))
+        assert jacobi_kernel(singular_left, np.array([-1.5, 0.3]))[0] == 0.0
 
 
 class TestConfluentInverseFt:
@@ -241,3 +321,55 @@ class TestApplyKernel:
             apply_kernel(math.exp, p, 0.0)
         with pytest.raises(ValidationError):
             apply_kernel(math.cos, LEGENDRE_HALF, 0.0, tail_cutoff=0.5)
+
+    @pytest.mark.parametrize("case, f, mp_f", [
+        # one fixed h = 1/8 level was 2.6e-7 off here
+        ((-0.004, 0.247, 3, 0.644, 1.90, 0.92),
+         lambda t: 1.0 / (1.0 + t * t), lambda t: 1 / (1 + t * t)),
+        # a singular y = -1 end: nodes formed as y lose 5.6e-6 here
+        ((0.694, -0.820, 1, 0.766, 0.294, -0.0108), lambda t: math.exp(-t), mpmath.exp),
+    ])
+    def test_against_mpmath_quadrature(self, case, f, mp_f):
+        *shape, x = case
+        p = JacobiKernelParams(*shape)
+        out = apply_kernel(f, p, x)
+        ref = mp_kernel_integral(p, x, mp_f)
+        assert abs(out.value - ref) <= out.tail_bound + 1e-11 * abs(ref)
+
+    def test_exponential_closed_form_over_the_design_range(self):
+        """Seeded property: alpha, beta in (-0.9, 2), n <= 3, nu in
+        (0.05, n), delta in [0.03, 2]; apply_kernel(e^-t) matches the
+        closed form within 1e-9 plus its own tail bound."""
+        rng = np.random.default_rng(20141974)
+        for _ in range(60):
+            a, b = rng.uniform(-0.9, 2.0, 2)
+            n = int(rng.integers(1, 4))
+            p = JacobiKernelParams(alpha=float(a), beta=float(b), n=n,
+                                   nu=float(rng.uniform(0.05, n)),
+                                   delta=float(rng.uniform(0.03, 2.0)))
+            x = float(rng.uniform(-1.0, 1.0))
+            out = apply_kernel(lambda t: math.exp(-t), p, x)
+            ref = exp_closed_form(p, x)
+            assert abs(out.value - ref) <= 1e-9 * abs(ref) + out.tail_bound, (p, x)
+
+    def test_scalar_only_callable(self):
+        seen = set()
+
+        def f(t):
+            seen.add(type(t))
+            return math.exp(-t)
+
+        p = JacobiKernelParams(alpha=0.5, beta=0.5, n=1, nu=0.3, delta=0.25)
+        out = apply_kernel(f, p, 0.4)
+        assert seen == {float}
+        assert out.value == pytest.approx(exp_closed_form(p, 0.4), rel=1e-10)
+
+    def test_rough_integrand_raises_instead_of_guessing(self):
+        # a decaying f with noise on every call: no two levels agree
+        rng = np.random.default_rng(3)
+
+        def noisy(t):
+            return math.exp(-t) * (1.0 + 0.5 * rng.standard_normal())
+
+        with pytest.raises(ConvergenceError):
+            apply_kernel(noisy, LEGENDRE_HALF, 0.0)

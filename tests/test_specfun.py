@@ -360,8 +360,39 @@ class TestArrayArguments:
             assert g == pytest.approx(hyp2f1(0.3, 1.7, 2.9, complex(zi)), rel=1e-14)
 
     def test_2f1_array_outside_the_disk_raises(self):
+        # real points outside the disk have branches of their own; a
+        # non-real one there, or a real one on the cut, has none
         with pytest.raises(DomainError):
-            hyp2f1(0.3, 1.7, 2.9, np.array([0.5, 0.97]))
+            hyp2f1(0.3, 1.7, 2.9, np.array([0.5, 0.97j]))
+        with pytest.raises(DomainError):
+            hyp2f1(0.3, 1.7, 2.9, np.array([0.5, 0.97, 1.2]))
+
+    @pytest.mark.parametrize("a, b, c", [(0.3, 1.7, 2.9), (1.25, 2.5, 4.1), (-0.4, 0.75, 1.45)])
+    def test_real_2f1_array_matches_scalar_on_every_branch(self, a, b, c):
+        # Pfaff (z < -0.5), series (|z| <= 0.95, hundreds of terms at its
+        # edge), connection (0.95 < z < 1) and Gauss (z = 1), in one call
+        z = np.array([-40.0, -3.0, -0.95, -0.51, -0.5, -0.2, 0.0, 1e-3, 0.4, 0.8,
+                      0.93, 0.95, 0.9500001, 0.97, 0.999, 1.0 - 1e-9, 1.0])
+        got = hyp2f1(a, b, c, z.reshape(-1, 1)).ravel()
+        for zi, g in zip(z.tolist(), got):
+            assert g == pytest.approx(hyp2f1(a, b, c, zi), rel=2e-15, abs=0.0)
+
+    def test_real_2f1_array_in_one_branch_keeps_its_shape(self):
+        z = np.full((2, 3), 0.97)
+        got = hyp2f1(0.3, 1.7, 2.9, z)
+        assert got.shape == (2, 3) and got.dtype == float
+        assert np.all(got == hyp2f1(0.3, 1.7, 2.9, 0.97))
+
+    def test_series_blocks_keep_the_stopping_rule(self):
+        # 50 points from a few terms to ~700: the block sums equal the
+        # term-by-term loop's within rounding, and points that cannot
+        # settle still raise
+        z = np.linspace(0.0, 0.95, 50)
+        got = hyp2f1(0.3, 1.7, 2.9, z)
+        for zi, g in zip(z.tolist(), got):
+            assert g == pytest.approx(hyp2f1(0.3, 1.7, 2.9, zi), rel=2e-15, abs=0.0)
+        with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
+            hyp2f1(1e4, 1e4, 1.0, np.array([0.0, 0.5]))    # terms reach inf
 
     def test_kummer_takes_each_point_down_its_own_branch(self):
         z = np.array([5.0, -30.0, 2j, 20j, -3.0 + 4.0j, 45.0, 0.0])

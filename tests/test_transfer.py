@@ -388,6 +388,16 @@ class TestSweep:
         assert all("kummer" in s.note or "|z|" in s.note for s in bad)
         assert all(math.isnan(s.value.real) for s in bad)
 
+    def test_non_finite_values_are_flagged_on_both_routes(self):
+        grid = FrequencyGrid.logarithmic(1.0, 100.0, 21)
+        whole = sweep(lambda w: ideal_transfer(200.0, w, Convention.WEYL), grid)
+        one = sweep(lambda w: ideal_transfer(200.0, float(w), Convention.WEYL), grid)
+        for samples in (whole, one):
+            bad = [s for s in samples if not cmath.isfinite(s.value)]
+            assert bad and len(bad) < len(samples)
+            assert all(not s.valid and "overflow" in s.note for s in bad)
+            assert all(s.valid and s.note == "" for s in samples if s not in bad)
+
     def test_unexpected_exceptions_propagate(self):
         def broken(w):
             raise RuntimeError("not a numeric failure")
