@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FracfiltError, ValidationError
+from .errors import DomainError, FracfiltError, ValidationError
 # gl_coefficients is not called here, but bench/tracing.py wraps it as
 # an attribute of this module
 from .fracops import SampledSignal, gl_coefficients, gl_weights  # noqa: F401
@@ -260,6 +260,8 @@ def _filter_taps(cfg: RunConfig, signal: SampledSignal):
         raise ValidationError(f"family {cfg.family} needs --nu")
     if cfg.family == "gl":
         k = _integer_order(cfg.nu)
+        if k is not None and k > 1029:  # from k = 1030 on, C(k, k/2) overflows
+            raise DomainError(f"gl taps of integer order {cfg.nu:g} overflow double precision")
         w = gl_weights(cfg.nu, k + 1 if k is not None else len(signal), signal.delta)
     elif cfg.family == "gram":
         if cfg.N is None:

@@ -33,12 +33,9 @@ TAIL_REL_TARGET = 1e-8
 GROWTH_CHUNKS = 3
 _TAIL_MAX_CUTOFF = 1e12
 # tanh-sinh nodes reach |t| = _TS_T_MAX, where a node sits ~1e-275 from
-# its end, and stop earlier where the kernel's endpoint power leaves less
-# than _TS_END_MASS of its mass beyond them (at d ~ 1e-20 for a bounded
-# kernel, never before t = _TS_T_MAX for exponents below about -0.93).
-# A chunk gets at most _TS_LEVELS levels (step 1/2 down to 2^-_TS_LEVELS).
+# its end.  A chunk gets at most _TS_LEVELS levels (step 1/2 down to
+# 2^-_TS_LEVELS).
 _TS_T_MAX = 6.0
-_TS_END_MASS = 1e-20
 _TS_LEVELS = 8
 
 
@@ -250,19 +247,19 @@ def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
     """integral of f(x + delta*y) k(y) over [lo, hi] by nested tanh-sinh
     levels, stopping once two agree to max(1e-13, 1e-10 |I|).
 
-    `powers` are the exponents of the kernel's behaviour at lo and hi.
-    Nodes carry their distances to both ends, so those powers never see a
-    rounded y, and a node is skipped where the mass left between it and
-    its end, d^(1 + min(power, 0)), is below _TS_END_MASS.  With
-    with_edge also returns k(hi), taken in the first kernel call."""
+    `powers` are the exponents e of the kernel's behaviour at lo and hi.
+    Nodes carry their distances d to both ends, so those powers never see
+    a rounded y.  At an end with e < 0 the integrand goes like c d^e, and
+    for e near -1 a visible share of its mass lies closer to the end than
+    any node: there the rule integrates the integrand minus c d^e, and
+    c d^e is added in closed form, with c read off the outermost node.
+    With with_edge also returns k(hi), taken in the first kernel call."""
     half = 0.5 * (hi - lo)
-    cut_lo, cut_hi = (_TS_END_MASS ** (1.0 / (1.0 + min(e, 0.0))) for e in powers)
+    e_lo, e_hi = powers
     estimate = edge = None
     for level in range(_TS_LEVELS):
         lower, upper, weight = _tanh_sinh_level(level)
         d_lo, d_hi = half * lower, half * upper
-        keep = (d_lo > cut_lo) & (d_hi > cut_hi)
-        d_lo, d_hi, weight = d_lo[keep], d_hi[keep], weight[keep]
         near_lo = d_lo <= d_hi
         y = np.where(near_lo, lo + d_lo, hi - d_hi)
         u = np.where(near_lo, (1.0 + lo) + d_lo, (1.0 + hi) - d_hi)    # 1 + y
@@ -273,12 +270,22 @@ def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
             k, edge = k[:-1], float(k[-1])
         else:
             k = jacobi_kernel(params, y, _gaps=(u, v))
-        fy = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float)
-        part = half * float(weight @ (fy * k))
+        fk = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float) * k
+        if level == 0:
+            c_lo, c_hi = (fk[i] / d[i] ** e if e < 0.0 else 0.0
+                          for i, d, e in ((0, d_lo, e_lo), (-1, d_hi, e_hi)))
+            power_part = sum(c * (hi - lo) ** (1.0 + e) / (1.0 + e)
+                             for c, e in ((c_lo, e_lo), (c_hi, e_hi)))
+        if c_lo:
+            fk -= c_lo * d_lo ** e_lo
+        if c_hi:
+            fk -= c_hi * d_hi ** e_hi
+        part = half * float(weight @ fk)
         if estimate is not None:
             refined = 0.5 * estimate + part
-            if abs(refined - estimate) <= max(1e-13, 1e-10 * abs(refined)):
-                return refined, edge
+            total = refined + power_part
+            if abs(refined - estimate) <= max(1e-13, 1e-10 * abs(total)):
+                return total, edge
             part = refined
         estimate = part
     raise ConvergenceError(
@@ -305,6 +312,11 @@ def apply_kernel(
     least grow slower than the tail dies); decay_check watches the chunk
     magnitudes and raises GrowthError when three in a row fail to shrink.
     A chunk whose levels do not settle raises ConvergenceError.
+
+    The levels converge fast only where f(x + delta*y) is smooth in y on
+    the whole chunk.  A kink or a jump of f inside the interior
+    [x - delta, x + delta] or inside a tail chunk converges algebraically,
+    and the call raises ConvergenceError instead of returning a value.
     """
     nu, delta = params.nu, params.delta
     if not nu > 0.0:

@@ -355,10 +355,7 @@ def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
     except (FracfiltError, TypeError, ValueError):
         values = None
     if values is not None and values.shape == grid.points.shape:
-        points = zip(grid.points.tolist(), values.tolist())
-        if np.isfinite(values).all():
-            return [TransferSample(omega=w, value=v) for w, v in points]
-        return [_sample(w, v) for w, v in points]
+        return [_sample(w, v) for w, v in zip(grid.points.tolist(), values.tolist())]
     out: list[TransferSample] = []
     for w in grid.points.tolist():
         try:

@@ -577,6 +577,20 @@ class TestRobustness:
         assert code == 3
         assert "overflow" in err and not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("nu", ["1e300", "1030"])
+    def test_gl_integer_order_refused_before_taps_at_unit_step(self, tmp_path, capsys, nu):
+        # delta = 1 keeps delta**-nu finite, so only the order cap stops
+        # 1e300 + 1 taps from being built
+        x = np.arange(50.0)
+        write_signal(tmp_path / "in.csv", x, np.exp(-0.1 * x))
+        code, _, err = run(
+            ["filter", "--family", "gl", "--nu", nu,
+             "-i", str(tmp_path / "in.csv"), "-o", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("fracfilt: numeric failure:") and "integer order" in err
+
     def test_overflowing_sweep_points_are_not_valid(self, tmp_path, capsys):
         out = tmp_path / "ideal.txt"
         code, _, _ = run(["sweep", "--family", "ideal", "--nu", "200", "-o", str(out)],

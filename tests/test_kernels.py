@@ -352,6 +352,24 @@ class TestApplyKernel:
             ref = exp_closed_form(p, x)
             assert abs(out.value - ref) <= 1e-9 * abs(ref) + out.tail_bound, (p, x)
 
+    def test_exponential_closed_form_near_the_weakest_endpoint_powers(self):
+        """Seeded property: one endpoint exponent n + alpha - nu or
+        n + beta - nu in (-0.99, -0.9), where a share of the endpoint mass
+        up to ~0.2 lies closer to the end than the outermost node."""
+        rng = np.random.default_rng(1974)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            power = float(rng.uniform(-0.99, -0.9))
+            gap = float(rng.uniform(0.0, 1.0 + power))    # n - nu
+            weak, other = power - gap, float(rng.uniform(-0.9, 2.0))
+            a, b = (weak, other) if rng.random() < 0.5 else (other, weak)
+            p = JacobiKernelParams(alpha=a, beta=b, n=n, nu=n - gap,
+                                   delta=float(rng.uniform(0.03, 2.0)))
+            x = float(rng.uniform(-1.0, 1.0))
+            out = apply_kernel(lambda t: math.exp(-t), p, x)
+            ref = exp_closed_form(p, x)
+            assert abs(out.value - ref) <= 1e-9 * abs(ref) + out.tail_bound, (p, x)
+
     def test_scalar_only_callable(self):
         seen = set()
 
