@@ -12,7 +12,8 @@ Kernel functions here return the pure shape; apply_kernel owns the
 delta**-nu scaling and the tail truncation bookkeeping.  jacobi_kernel
 takes a float or a whole array of y, and apply_kernel integrates with a
 nested tanh-sinh rule over whole node arrays, one kernel call per level
-and no scipy.
+and no scipy.  The nodes and k values are cached per kernel shape and chunk
+(<= 14 MB), so only a new shape pays for the 2F1s; a new x or delta, for f.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _TAIL_MAX_CUTOFF = 1e12
 # 2^-_TS_LEVELS).
 _TS_T_MAX = 6.0
 _TS_LEVELS = 8
+_TABLE_CACHE_SIZE = 256    # _level_table entries, <= 54 KB each (level 7)
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,30 @@ def _tanh_sinh_level(level: int):
     return lower, upper, weight
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _level_table(alpha, beta, n, nu, lo, hi, level: int, with_edge: bool):
+    """The x-, f- and delta-free half of one _integrate level on [lo, hi]:
+    nodes y, their distances d_lo, d_hi to both ends, k(y), the weights
+    and, at level 0 with with_edge, k(hi).  The arrays are read-only."""
+    lower, upper, weight = _tanh_sinh_level(level)
+    half = 0.5 * (hi - lo)
+    d_lo, d_hi = half * lower, half * upper
+    near_lo = d_lo <= d_hi
+    y = np.where(near_lo, lo + d_lo, hi - d_hi)
+    u = np.where(near_lo, (1.0 + lo) + d_lo, (1.0 + hi) - d_hi)    # 1 + y
+    v = np.where(near_lo, (1.0 - lo) - d_lo, (1.0 - hi) + d_hi)    # 1 - y
+    params = JacobiKernelParams(alpha, beta, n, nu, 1.0)
+    if with_edge and level == 0:
+        k = jacobi_kernel(params, np.append(y, hi),
+                          _gaps=(np.append(u, 1.0 + hi), np.append(v, 1.0 - hi)))
+        k, edge = k[:-1], float(k[-1])
+    else:
+        k, edge = jacobi_kernel(params, y, _gaps=(u, v)), None
+    for a in (y, d_lo, d_hi, k, weight):
+        a.flags.writeable = False
+    return y, d_lo, d_hi, k, weight, edge
+
+
 def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
                powers: tuple[float, float], with_edge: bool):
     """integral of f(x + delta*y) k(y) over [lo, hi] by nested tanh-sinh
@@ -253,25 +279,16 @@ def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
     for e near -1 a visible share of its mass lies closer to the end than
     any node: there the rule integrates the integrand minus c d^e, and
     c d^e is added in closed form, with c read off the outermost node.
-    With with_edge also returns k(hi), taken in the first kernel call."""
+    With with_edge also returns k(hi), taken in level 0's kernel call."""
+    shape = (float(params.alpha), float(params.beta), params.n, float(params.nu))
     half = 0.5 * (hi - lo)
     e_lo, e_hi = powers
-    estimate = edge = None
+    estimate = None
     for level in range(_TS_LEVELS):
-        lower, upper, weight = _tanh_sinh_level(level)
-        d_lo, d_hi = half * lower, half * upper
-        near_lo = d_lo <= d_hi
-        y = np.where(near_lo, lo + d_lo, hi - d_hi)
-        u = np.where(near_lo, (1.0 + lo) + d_lo, (1.0 + hi) - d_hi)    # 1 + y
-        v = np.where(near_lo, (1.0 - lo) - d_lo, (1.0 - hi) + d_hi)    # 1 - y
-        if with_edge and level == 0:
-            k = jacobi_kernel(params, np.append(y, hi),
-                              _gaps=(np.append(u, 1.0 + hi), np.append(v, 1.0 - hi)))
-            k, edge = k[:-1], float(k[-1])
-        else:
-            k = jacobi_kernel(params, y, _gaps=(u, v))
+        y, d_lo, d_hi, k, weight, k_hi = _level_table(*shape, lo, hi, level, with_edge)
         fk = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float) * k
         if level == 0:
+            edge = k_hi
             c_lo, c_hi = (fk[i] / d[i] ** e if e < 0.0 else 0.0
                           for i, d, e in ((0, d_lo, e_lo), (-1, d_hi, e_hi)))
             power_part = sum(c * (hi - lo) ** (1.0 + e) / (1.0 + e)

@@ -158,6 +158,7 @@ def complex_power(z, nu: float, side: CutSide | None = None):
     Off the cut ``side`` is ignored.  z = 0 maps to 0 for nu > 0 and 1 for
     nu = 0; DomainError for nu < 0.  A scalar z gives a complex, an array
     z a complex array; an array with any point on the cut needs ``side``.
+    A power past double range is inf, with no warning (sweep flags it).
     """
     z = np.asarray(z, dtype=complex)
     zero = z == 0
@@ -169,7 +170,7 @@ def complex_power(z, nu: float, side: CutSide | None = None):
             "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
             "side=CutSide.MINUS_I0 to pick a boundary value"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.exp(nu * np.log(z))
         if zero.any():
             out = np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out)

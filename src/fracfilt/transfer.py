@@ -69,12 +69,14 @@ class FrequencyGrid:
 
     @classmethod
     def linear(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError(f"need finite lo < hi, got {lo:g}, {hi:g}")
         return cls(np.linspace(lo, hi, count), GridSpacing.LINEAR)
 
     @classmethod
     def logarithmic(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
-        if not 0.0 < lo < hi:
-            raise ValidationError(f"need 0 < lo < hi, got {lo:g}, {hi:g}")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValidationError(f"need finite 0 < lo < hi, got {lo:g}, {hi:g}")
         return cls(
             np.logspace(math.log10(lo), math.log10(hi), count), GridSpacing.LOGARITHMIC
         )
@@ -151,12 +153,16 @@ def legendre_transfer(
     """Flat-weight (alpha = beta = 0) kernel response in spherical Bessel
     form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n, one spherical_jn_ratio
     call.  Same function as jacobi_transfer at those parameters but valid
-    at any finite frequency; (2n+1)!! overflows (DomainError) past n = 133."""
+    at any finite frequency; (2n+1)!! overflows (DomainError) from n = 150 on."""
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"step must be positive and finite, got {delta:g}")
-    coeff = gamma_ratio((2.0 * n + 2.0,), (n + 1.0,)) / 2.0 ** n
+    try:
+        # (2n+1)!!, exact and rounded once; 301!! (n = 150) already overflows
+        coeff = float(math.prod(range(1, min(2 * n, 300) + 2, 2)))
+    except OverflowError:
+        raise DomainError(f"(2n+1)!! overflows double precision at n = {n}") from None
     w = np.asarray(omega, dtype=float)
     value = complex_power(1j * w, nu) * coeff * spherical_jn_ratio(n, w * delta)
     return _result(omega, value if convention is Convention.WEYL else np.conj(value))
@@ -250,7 +256,8 @@ def butterworth_fractional_transfer(
     if not omega0 > 0.0:
         raise ValidationError(f"corner frequency must be positive, got {omega0:g}")
     w = np.asarray(omega, dtype=float)
-    return _result(omega, complex_power(-1j * w, nu) / (1.0 + (w / omega0) ** (2 * n)))
+    with np.errstate(over="ignore", invalid="ignore"):    # sweep flags inf/NaN
+        return _result(omega, complex_power(-1j * w, nu) / (1.0 + (w / omega0) ** (2 * n)))
 
 
 def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:

@@ -1,12 +1,14 @@
 """Continuous kernels: shape branches, the confluent closed form, and the
 kernel-integral operator with its dual-route oracle."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from fracfilt import kernels
 from fracfilt.errors import ConvergenceError, DomainError, GrowthError, ValidationError
 from fracfilt.kernels import (
     JacobiKernelParams,
@@ -50,6 +52,21 @@ def mp_kernel_integral(p: JacobiKernelParams, x: float, f) -> float:
 
         total = mpmath.quad(interior, [-1, 0, 1]) + mpmath.quad(tail, [1, 2, 4, 8, 16, mpmath.inf])
         return float(total / d ** nu)
+
+
+def design_cases(count: int) -> list:
+    """The first `count` of one seeded list of (params, x): alpha, beta in
+    (-0.9, 2), n <= 3, nu in (0.05, n), delta in [0.03, 2], x in (-1, 1)."""
+    rng = np.random.default_rng(20141974)
+    cases = []
+    for _ in range(count):
+        a, b = rng.uniform(-0.9, 2.0, 2)
+        n = int(rng.integers(1, 4))
+        p = JacobiKernelParams(alpha=float(a), beta=float(b), n=n,
+                               nu=float(rng.uniform(0.05, n)),
+                               delta=float(rng.uniform(0.03, 2.0)))
+        cases.append((p, float(rng.uniform(-1.0, 1.0))))
+    return cases
 
 
 class TestParams:
@@ -340,14 +357,7 @@ class TestApplyKernel:
         """Seeded property: alpha, beta in (-0.9, 2), n <= 3, nu in
         (0.05, n), delta in [0.03, 2]; apply_kernel(e^-t) matches the
         closed form within 1e-9 plus its own tail bound."""
-        rng = np.random.default_rng(20141974)
-        for _ in range(60):
-            a, b = rng.uniform(-0.9, 2.0, 2)
-            n = int(rng.integers(1, 4))
-            p = JacobiKernelParams(alpha=float(a), beta=float(b), n=n,
-                                   nu=float(rng.uniform(0.05, n)),
-                                   delta=float(rng.uniform(0.03, 2.0)))
-            x = float(rng.uniform(-1.0, 1.0))
+        for p, x in design_cases(60):
             out = apply_kernel(lambda t: math.exp(-t), p, x)
             ref = exp_closed_form(p, x)
             assert abs(out.value - ref) <= 1e-9 * abs(ref) + out.tail_bound, (p, x)
@@ -391,3 +401,78 @@ class TestApplyKernel:
 
         with pytest.raises(ConvergenceError):
             apply_kernel(noisy, LEGENDRE_HALF, 0.0)
+
+
+class TestLevelTableCache:
+    """apply_kernel keeps each chunk's nodes and kernel values per kernel
+    shape (alpha, beta, n, nu), chunk and level; a call at a new x only
+    evaluates f."""
+
+    table = staticmethod(kernels._level_table)
+    SHAPE = JacobiKernelParams(alpha=0.3, beta=0.2, n=1, nu=0.5, delta=0.5)
+
+    def one(self, t):
+        return 1.0
+
+    def test_cold_and_warm_calls_agree_bitwise(self):
+        fs = (lambda t: math.exp(-t), lambda t: math.exp(-t * t),
+              lambda t: 1.0 / (1.0 + t * t))
+        for p, x in design_cases(20):
+            for f in fs:
+                self.table.cache_clear()
+                cold = apply_kernel(f, p, x)
+                assert apply_kernel(f, p, x) == cold, (p, x)
+
+    def test_tables_are_read_only(self):
+        apply_kernel(lambda t: math.exp(-t), self.SHAPE, 0.3)
+        *arrays, edge = self.table(0.3, 0.2, 1, 0.5, 1.0, 2.0, 0, True)
+        assert isinstance(edge, float)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_shape_not_step_keys_the_tables(self):
+        # with f = 1 and a fixed cutoff the chunks and levels cannot
+        # depend on delta or x, so a second step adds no entry
+        self.table.cache_clear()
+        first = apply_kernel(self.one, self.SHAPE, 0.0, tail_cutoff=4.0)
+        built = self.table.cache_info().misses
+        assert built > 0
+        other = dataclasses.replace(self.SHAPE, delta=1.7)
+        second = apply_kernel(self.one, other, 0.9, tail_cutoff=4.0)
+        assert self.table.cache_info().misses == built
+        assert second.value == pytest.approx(first.value * (0.5 / 1.7) ** 0.5, rel=1e-15)
+        apply_kernel(self.one, dataclasses.replace(self.SHAPE, nu=math.nextafter(0.5, 1.0)),
+                     0.0, tail_cutoff=4.0)
+        assert self.table.cache_info().misses == 2 * built
+
+    def test_integer_and_float_exponents_share_bits(self):
+        f = lambda t: math.exp(-t)
+        values = []
+        for alpha in (0, 0.0):
+            self.table.cache_clear()
+            p = JacobiKernelParams(alpha=alpha, beta=0.0, n=1, nu=0.5, delta=0.5)
+            values.append(apply_kernel(f, p, 0.3))
+        assert values[0] == values[1]
+        built = self.table.cache_info().misses
+        apply_kernel(f, JacobiKernelParams(alpha=0, beta=0, n=1, nu=0.5, delta=0.5), 0.3)
+        assert self.table.cache_info().misses == built
+
+    def test_errors_are_not_cached(self):
+        # nu > n + beta: k is singular at y = -1, the edge of this chunk
+        self.table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                self.table(0.0, -0.5, 1, 0.6, -3.0, -1.0, 0, True)
+        assert self.table.cache_info().currsize == 0
+
+    def test_cache_stays_bounded(self):
+        self.table.cache_clear()
+        maxsize = self.table.cache_info().maxsize
+        assert maxsize == kernels._TABLE_CACHE_SIZE
+        for i in range(40):
+            p = dataclasses.replace(self.SHAPE, nu=0.2 + 0.015 * i)
+            apply_kernel(lambda t: math.exp(-t), p, 0.3)
+            assert self.table.cache_info().currsize <= maxsize
+        assert self.table.cache_info().misses > maxsize

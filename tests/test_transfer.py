@@ -74,6 +74,14 @@ class TestFrequencyGrid:
         with pytest.raises(ValidationError):
             FrequencyGrid.logarithmic(0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, math.inf), (math.nan, 2.0), (-math.inf, 2.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_bounds_must_be_finite_and_ordered(self, lo, hi):
+        with pytest.raises(ValidationError):
+            FrequencyGrid.linear(lo, hi, 5)
+        with pytest.raises(ValidationError):
+            FrequencyGrid.logarithmic(lo, hi, 5)
+
 
 class TestTransferSample:
     def test_derived_quantities(self):
@@ -167,7 +175,23 @@ class TestLegendreTransfer:
     def test_matches_mpmath(self, n):
         """(i w)^nu (2n+1)!! j_n(w)/w^n, at multiples of pi among the
         frequencies and at orders whose (2n+1)!! passes Gamma(171)."""
-        omega = np.array([1e-3, 0.5, math.pi, 2.0 * math.pi, 7.0, 60.0, 1e3])
+        self.check_against_mpmath(n, [1e-3, 0.5, math.pi, 2.0 * math.pi, 7.0, 60.0, 1e3])
+
+    @pytest.mark.parametrize("n", [11, 40, 134, 149])
+    def test_double_factorial_to_the_end_of_double_range(self, n):
+        """(2n+1)!! is an exact integer rounded once, so it is correctly
+        rounded from n = 11 on and finite up to n = 149, past the overflow
+        of Gamma(2n+2) at n = 134.  Frequencies where j_n(w)/w^n is still a
+        normal double."""
+        self.check_against_mpmath(n, [1e-3, 0.5, math.pi, 2.0 * math.pi, 7.0, 20.0])
+
+    @pytest.mark.parametrize("n", [150, 10 ** 7])
+    def test_double_factorial_overflow_raises(self, n):
+        with pytest.raises(DomainError):
+            legendre_transfer(n, 0.5, 1.0, 1.0)
+
+    def check_against_mpmath(self, n, omega):
+        omega = np.array(omega)
         got = legendre_transfer(n, 0.5, 1.0, omega)
         with mpmath.workdps(40):
             for w, g in zip(omega.tolist(), got):
@@ -252,6 +276,25 @@ class TestHahnTruncatedTransfer:
                 HahnFilterParams(alpha=0.0, beta=0.0, N=4, n=2, nu=0.5, delta=1.0, M=8),
                 1.0,
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 16), nu=st.floats(0.05, 0.95), M=st.integers(64, 1024),
+           delta=st.floats(1e-3, 10.0), theta=st.floats(0.0, math.pi, exclude_min=True))
+    def test_truncation_error_is_bounded_by_the_dc_gain(self, N, nu, M, delta, theta):
+        """Past M the backward taps share one sign and the untruncated
+        response is 0 at DC, so the cut-off history is worth at most
+        |truncated_dc_gain| at any frequency: |H_M(w) - H(w)| <= |H_M(0)|,
+        w = theta/delta.  The allowance is the known cancellation residual
+        of gram_n1_weights' backward taps, which grows with M at N = 1 and
+        small nu: their sum is 1.9e-11 of the tap scale off a 50-digit
+        value at (1, 0.05, 1024), where truncated_dc_gain is 4.4e-13 off."""
+        beyond = gram_n1_weights(N, nu, delta, 4 * M).backward[M:]
+        assert np.all(beyond > 0.0) or np.all(beyond < 0.0)
+        p = _flat_params(N, nu, delta, M)
+        w = gram_n1_weights(N, nu, delta, M)
+        residual = 5e-11 * abs(w.prefactor) * float(np.abs(w.taps).sum())
+        gap = abs(hahn_truncated_transfer(p, theta / delta) - hahn_transfer(p, theta / delta))
+        assert gap <= abs(truncated_dc_gain(N, nu, delta, M)) + residual
 
 
 class TestGlTransfer:
