@@ -7,10 +7,15 @@ sweep    evaluate transfer functions over a frequency grid, either a
          text or JSON
 metrics  usable-band report for the truncated first-order filter
 
-Options may come from a flat key=value config file (--config); explicit
-flags override config values, which override defaults.  All output is a
-pure function of the inputs: no timestamps, and the run id recorded in
-sweep metadata is settable through the config key run_id.
+Every option is one row of `_OPTIONS`: the row makes the long flag and
+the config key of the same name, and a config value is converted with
+the flag's type.  Options may come from a flat key=value config file
+(--config); explicit flags override config values, which override
+defaults.  A figure preset is one row of `_PRESETS`: a family, the
+option it sweeps and the options it fixes, so each preset curve is the
+`--family` sweep with those options.  All output is a pure function of
+the inputs: no timestamps, and the run id recorded in sweep metadata is
+settable through the config key run_id.
 
 Exit codes: 0 success, 1 validation problem, 2 I/O problem, 3 numeric
 failure.
@@ -21,8 +26,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,7 +64,6 @@ _SPACING_RTOL = 1e-9
 _FAMILIES = (
     "gl", "gram", "hahn", "jacobi", "legendre", "laguerre", "ideal", "butterworth",
 )
-_PRESET_NAMES = tuple(f"fig{i}" for i in range(1, 8))
 
 
 @dataclass(frozen=True)
@@ -83,13 +88,6 @@ class RunConfig:
     run_id: str | None = None
 
 
-_CONVERT = {
-    "family": str, "nu": float, "delta": float, "n": int, "N": int, "M": int,
-    "alpha": float, "beta": float, "omega0": float, "grid": str, "preset": str,
-    "causal": None, "input": str, "output": str, "run_id": str,
-}
-
-
 def _to_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -97,6 +95,28 @@ def _to_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValidationError(f"expected a boolean, got {text!r}")
+
+
+# name -> (type, metavar, help).  Each name is a config key; all but
+# run_id are also long flags.  A config value is converted with the
+# type; causal is a switch on the command line.
+_OPTIONS = {
+    "family": (str, "F", f"one of {', '.join(_FAMILIES)}"),
+    "nu": (float, "X", "fractional order"),
+    "delta": (float, "X", "sample step"),
+    "n": (int, "N", "integer scheme order"),
+    "N": (int, "W", "window degree / forward taps"),
+    "M": (int, "M", "backward history length"),
+    "alpha": (float, "A", "left weight exponent"),
+    "beta": (float, "B", "right weight exponent"),
+    "omega0": (float, "W0", "corner frequency"),
+    "grid": (str, "LO:HI:POINTS:log|lin", "frequency grid"),
+    "preset": (str, "figN", "figure preset fig1..fig7"),
+    "causal": (_to_bool, None, "treat samples before the first row as exact zeros"),
+    "input": (str, "IN", "input CSV"),
+    "output": (str, "OUT", "output path"),
+    "run_id": (str, None, None),
+}
 
 
 def _read_ascii_lines(path: str) -> list[str]:
@@ -121,11 +141,10 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONVERT:
+        if key not in _OPTIONS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            conv = _CONVERT[key]
-            out[key] = _to_bool(value) if conv is None else conv(value)
+            out[key] = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
@@ -135,12 +154,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {"mode": args.mode}
     if args.config:
         merged.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        if f.name == "mode":
-            continue
-        flag_value = getattr(args, f.name, None)
+    for name in _OPTIONS:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            merged[f.name] = flag_value
+            merged[name] = flag_value
     for key, value in merged.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{key} must be a finite number, got {value!r}")
@@ -149,9 +166,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(
             f"unknown family {cfg.family!r}; choose from {', '.join(_FAMILIES)}"
         )
-    if cfg.preset is not None and cfg.preset not in _PRESET_NAMES:
+    if cfg.preset is not None and cfg.preset not in _PRESETS:
         raise ValidationError(
-            f"unknown preset {cfg.preset!r}; choose from {', '.join(_PRESET_NAMES)}"
+            f"unknown preset {cfg.preset!r}; choose from {', '.join(_PRESETS)}"
         )
     return cfg
 
@@ -174,15 +191,21 @@ def _default_run_id(cfg: RunConfig) -> str:
 _BLANK_ROW = ' \t\r\n\v\f,"'
 
 
-def _parse_rows(lines, dtype=float) -> np.ndarray:
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=2, comments=None,
-                      quotechar='"')
+# a row's first cell as numpy's reader cuts it: a leading quote opens a
+# quoted span, where "" is one quote and commas and the line end belong
+# to the cell; after the span the cell runs on to the next comma
+_FIRST_CELL = re.compile(r'(?:"((?:[^"]|"")*)"?)?([^,\n]*)')
 
 
 def _is_header(line: str) -> bool:
-    """Whether the row's first cell is not a number (float() decides)."""
+    """Whether the row's first cell is not a number (float() decides).
+
+    The cell is cut as numpy's string reader cuts it, with trailing NULs
+    dropped as numpy's string arrays drop them; no numpy parse runs per
+    row."""
+    quoted, rest = _FIRST_CELL.match(line).groups()
     try:
-        float(_parse_rows([line], str)[0, 0])
+        float(((quoted or "").replace('""', '"') + rest).rstrip("\x00"))
     except ValueError:
         return True
     return False
@@ -203,7 +226,8 @@ def read_signal_file(path: str):
     if start == len(lines):
         raise ValidationError(f"{path}: no samples found")
     try:
-        table = _parse_rows(lines[start:])
+        table = np.loadtxt(lines[start:], delimiter=",", ndmin=2, comments=None,
+                           quotechar='"')
     except ValueError as exc:
         raise ValidationError(f"{path}: unreadable samples: {exc}") from None
     if table.shape[1] not in (2, 3):
@@ -217,16 +241,11 @@ def read_signal_file(path: str):
     return columns[0], columns[1], valid
 
 
-def write_signal_file(path: str, x, values, valid=None) -> None:
+def write_signal_file(path: str, x, values, valid) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
-        if valid is None:
-            fh.write("x,value\n")
-            for xi, vi in zip(x, values):
-                fh.write(f"{float(xi)!r},{float(vi)!r}\n")
-        else:
-            fh.write("x,value,valid\n")
-            for xi, vi, fi in zip(x, values, valid):
-                fh.write(f"{float(xi)!r},{float(vi)!r},{int(fi)}\n")
+        fh.write("x,value,valid\n")
+        for xi, vi, fi in zip(x, values, valid):
+            fh.write(f"{float(xi)!r},{float(vi)!r},{int(fi)}\n")
 
 
 def _signal_from_columns(cfg: RunConfig, x: np.ndarray, values: np.ndarray) -> SampledSignal:
@@ -271,11 +290,7 @@ def _filter_taps(cfg: RunConfig, signal: SampledSignal):
     elif cfg.family == "hahn":
         if cfg.N is None:
             raise ValidationError("family hahn needs --N")
-        params = HahnFilterParams(
-            alpha=cfg.alpha, beta=cfg.beta, N=cfg.N, n=cfg.n, nu=cfg.nu,
-            delta=signal.delta, M=cfg.M,
-        )
-        w = hahn_weights(params)
+        w = hahn_weights(_hahn_params(cfg, signal.delta))
     elif cfg.family in ("jacobi", "legendre", "laguerre"):
         raise ValidationError(
             f"family {cfg.family} is a continuous kernel and needs a callable "
@@ -335,84 +350,47 @@ def _grid_label(grid: FrequencyGrid) -> str:
     return f"{grid.points[0]:g}:{grid.points[-1]:g}:{grid.points.size}:{kind}"
 
 
+# name -> (family, logarithmic grid (lo, hi, points), label format,
+# swept option, its values, fixed options, options a given flag sets).
+# Each curve is the --family sweep with these options; all others keep
+# their defaults, and --grid replaces the grid.  Parameters follow the
+# reference plots.
+_PRESETS = {
+    "fig1": ("ideal", (1e-2, 1e2, 121), "n{nu:g}", "nu", (1.0, 2.0, 5.0), {}, ()),
+    "fig2": ("legendre", (1e-3, 1e2, 101), "n{n}", "n", (1,),
+             {"nu": 1.0, "delta": 1.0}, ("delta",)),
+    "fig3": ("ideal", (1e-2, 1e2, 121), "nu{nu:g}", "nu", (1.0, 1.5, 2.0), {}, ()),
+    "fig4": ("legendre", (1e-3, 1e2, 61), "nu{nu:g}", "nu", (0.5, 0.75, 1.0),
+             {"n": 1, "delta": 1.0}, ("delta",)),
+    "fig5": ("gram", (1e-2, math.pi, 121), "N{N}", "N", (1, 2, 4, 8, 16),
+             {"nu": 0.5, "delta": 1.0}, ("delta",)),
+    "fig6": ("gram", (1e-4, math.pi, 121), "M{M}", "M", (16, 64, 256, 1024),
+             {"N": 7, "nu": 0.5, "delta": 1.0}, ("delta",)),
+    "fig7": ("butterworth", (1e-2, 1e3, 121), "n{n}", "n", (7,),
+             {"nu": 0.5}, ("nu", "omega0")),
+}
+
+
 def _preset_curves(cfg: RunConfig):
-    """(grid, [(label, closure, meta), ...]) for a figure preset.
+    """(grid, [(label, closure, meta), ...]) for a figure preset."""
+    family, grid, label, swept, values, options, honours = _PRESETS[cfg.preset]
+    flags = {k: getattr(cfg, k) for k in honours if getattr(cfg, k) is not None}
+    base = RunConfig(mode=cfg.mode, family=family, **{**options, **flags})
+    curves = []
+    for value in values:
+        one = replace(base, **{swept: value})
+        closure, meta = _family_curve(one)
+        curves.append((label.format(**asdict(one)), closure, dict(meta, preset=cfg.preset)))
+    return FrequencyGrid.logarithmic(*grid), curves
 
-    Parameters follow the reference plots; --grid and --delta still
-    override where they make sense."""
-    name = cfg.preset
-    delta = cfg.delta if cfg.delta is not None else 1.0
-    rl = Convention.RIEMANN_LIOUVILLE
 
-    def meta(**kw) -> dict:
-        base = {"preset": name, "mode": "sweep"}
-        base.update(kw)
-        return base
-
-    if name == "fig1":
-        grid = FrequencyGrid.logarithmic(1e-2, 1e2, 121)
-        curves = [
-            (f"n{k}",
-             (lambda w, k=k: ideal_transfer(float(k), w, rl)),
-             meta(family="ideal", convention=rl.value, nu=float(k)))
-            for k in (1, 2, 5)
-        ]
-    elif name == "fig2":
-        grid = FrequencyGrid.logarithmic(1e-3, 1e2, 101)
-        curves = [
-            ("n1",
-             (lambda w: legendre_transfer(1, 1.0, delta, w)),
-             meta(family="legendre", convention="weyl", n=1, nu=1.0, delta=delta)),
-        ]
-    elif name == "fig3":
-        grid = FrequencyGrid.logarithmic(1e-2, 1e2, 121)
-        curves = [
-            (f"nu{nu:g}",
-             (lambda w, nu=nu: ideal_transfer(nu, w, rl)),
-             meta(family="ideal", convention=rl.value, nu=nu))
-            for nu in (1.0, 1.5, 2.0)
-        ]
-    elif name == "fig4":
-        grid = FrequencyGrid.logarithmic(1e-3, 1e2, 61)
-        curves = [
-            (f"nu{nu:g}",
-             (lambda w, nu=nu: legendre_transfer(1, nu, delta, w)),
-             meta(family="legendre", convention="weyl", n=1, nu=nu, delta=delta))
-            for nu in (0.5, 0.75, 1.0)
-        ]
-    elif name == "fig5":
-        grid = FrequencyGrid.logarithmic(1e-2, math.pi, 121)
-        curves = [
-            (f"N{N}",
-             (lambda w, N=N: hahn_transfer(
-                 HahnFilterParams(alpha=0.0, beta=0.0, N=N, n=1, nu=0.5,
-                                  delta=delta), w)),
-             meta(family="gram", convention=rl.value, N=N, n=1, nu=0.5, delta=delta))
-            for N in (1, 2, 4, 8, 16)
-        ]
-    elif name == "fig6":
-        grid = FrequencyGrid.logarithmic(1e-4, math.pi, 121)
-        curves = [
-            (f"M{M}",
-             (lambda w, M=M: hahn_truncated_transfer(
-                 HahnFilterParams(alpha=0.0, beta=0.0, N=7, n=1, nu=0.5,
-                                  delta=delta, M=M), w)),
-             meta(family="gram", convention=rl.value, N=7, n=1, nu=0.5,
-                  delta=delta, M=M))
-            for M in (16, 64, 256, 1024)
-        ]
-    else:  # fig7
-        grid = FrequencyGrid.logarithmic(1e-2, 1e3, 121)
-        nu = cfg.nu if cfg.nu is not None else 0.5
-        curves = [
-            ("n7",
-             (lambda w: butterworth_fractional_transfer(nu, 7, cfg.omega0, w)),
-             meta(family="butterworth", convention=rl.value, nu=nu, n=7,
-                  omega0=cfg.omega0)),
-        ]
-    if cfg.grid is not None:
-        grid = _parse_grid(cfg.grid)
-    return grid, curves
+def _hahn_params(cfg: RunConfig, delta: float) -> HahnFilterParams:
+    """The design of family gram or hahn; gram is n = 1, alpha = beta = 0."""
+    if cfg.family == "gram":
+        return HahnFilterParams(alpha=0.0, beta=0.0, N=cfg.N, n=1, nu=cfg.nu,
+                                delta=delta, M=cfg.M)
+    return HahnFilterParams(alpha=cfg.alpha, beta=cfg.beta, N=cfg.N, n=cfg.n,
+                            nu=cfg.nu, delta=delta, M=cfg.M)
 
 
 def _family_curve(cfg: RunConfig):
@@ -432,13 +410,11 @@ def _family_curve(cfg: RunConfig):
     if fam in ("gram", "hahn"):
         if cfg.nu is None or cfg.delta is None or cfg.N is None:
             raise ValidationError(f"family {fam} needs --nu, --delta, and --N")
-        n = 1 if fam == "gram" else cfg.n
-        alpha, beta = (0.0, 0.0) if fam == "gram" else (cfg.alpha, cfg.beta)
-        params = HahnFilterParams(alpha=alpha, beta=beta, N=cfg.N, n=n,
-                                  nu=cfg.nu, delta=cfg.delta, M=cfg.M)
+        params = _hahn_params(cfg, cfg.delta)
         base = {"family": fam, "convention": Convention.RIEMANN_LIOUVILLE.value,
-                "nu": cfg.nu, "delta": cfg.delta, "N": cfg.N, "n": n,
-                "alpha": alpha, "beta": beta}
+                "nu": cfg.nu, "delta": cfg.delta, "N": cfg.N, "n": params.n}
+        if fam == "hahn":
+            base.update(alpha=cfg.alpha, beta=cfg.beta)
         if cfg.M is not None:
             base["M"] = params.M
             return (lambda w: hahn_truncated_transfer(params, w)), base
@@ -488,15 +464,16 @@ def run_sweep(cfg: RunConfig) -> int:
         grid, curves = _preset_curves(cfg)
     else:
         closure, meta = _family_curve(cfg)
-        grid = _parse_grid(cfg.grid) if cfg.grid is not None else \
-            FrequencyGrid.logarithmic(1e-2, 1e2, 121)
-        meta = dict(meta, mode="sweep")
+        grid = FrequencyGrid.logarithmic(1e-2, 1e2, 121)
         curves = [("all", closure, meta)]
+    if cfg.grid is not None:
+        grid = _parse_grid(cfg.grid)
     run_id = cfg.run_id if cfg.run_id is not None else _default_run_id(cfg)
     multi = len(curves) > 1
     for label, closure, meta in curves:
         samples = sweep(closure, grid)
-        meta = dict(meta, label=label, run_id=run_id, grid=_grid_label(grid))
+        meta = dict(meta, mode="sweep", label=label, run_id=run_id,
+                    grid=_grid_label(grid))
         path = _curve_path(cfg.output, label, multi)
         if path.endswith(".json"):
             write_sweep_json(samples, path, meta)
@@ -514,14 +491,8 @@ def run_metrics(cfg: RunConfig) -> int:
         raise ValidationError("metrics mode covers families gram and hahn")
     if cfg.nu is None or cfg.delta is None or cfg.N is None:
         raise ValidationError("metrics mode needs --nu, --delta, and --N")
-    if cfg.family == "hahn" and (cfg.n != 1 or cfg.alpha != 0.0 or cfg.beta != 0.0):
-        raise ValidationError(
-            "metrics are defined for the first-order flat-weight scheme "
-            "(n = 1, alpha = beta = 0)"
-        )
-    params = HahnFilterParams(alpha=0.0, beta=0.0, N=cfg.N, n=1, nu=cfg.nu,
-                              delta=cfg.delta, M=cfg.M)
-    m = filter_metrics(params)
+    params = _hahn_params(cfg, cfg.delta)
+    m = filter_metrics(params)  # rejects all but n = 1, alpha = beta = 0
     lines = [
         f"family = {cfg.family}",
         f"N = {params.N}",
@@ -555,21 +526,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat key=value option file")
-    p.add_argument("--family", metavar="F", help=f"one of {', '.join(_FAMILIES)}")
-    p.add_argument("--nu", type=float, metavar="X", help="fractional order")
-    p.add_argument("--delta", type=float, metavar="X", help="sample step")
-    p.add_argument("--n", type=int, metavar="N", help="integer scheme order")
-    p.add_argument("--N", type=int, metavar="W", help="window degree / forward taps")
-    p.add_argument("--M", type=int, metavar="M", help="backward history length")
-    p.add_argument("--alpha", type=float, metavar="A", help="left weight exponent")
-    p.add_argument("--beta", type=float, metavar="B", help="right weight exponent")
-    p.add_argument("--omega0", type=float, metavar="W0", help="corner frequency")
-    p.add_argument("--grid", metavar="LO:HI:POINTS:log|lin", help="frequency grid")
-    p.add_argument("--preset", metavar="figN", help="figure preset fig1..fig7")
-    p.add_argument("--causal", action="store_const", const=True,
-                   help="treat samples before the first row as exact zeros")
-    p.add_argument("-i", "--input", metavar="IN", help="input CSV")
-    p.add_argument("-o", "--output", metavar="OUT", help="output path")
+    for name, (conv, metavar, text) in _OPTIONS.items():
+        if text is None:  # run_id is a config key only
+            continue
+        flags = [f"--{name}"]
+        if name in ("input", "output"):
+            flags.insert(0, f"-{name[0]}")
+        if conv is _to_bool:
+            p.add_argument(*flags, action="store_const", const=True, help=text)
+        else:
+            p.add_argument(*flags, type=conv, metavar=metavar, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

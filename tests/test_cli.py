@@ -3,6 +3,9 @@ filtering, sweeps, metrics, determinism, and exit codes."""
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -344,6 +347,102 @@ class TestSweepMode:
         )
         assert code == 1
         assert "LO:HI:POINTS" in err
+
+
+def _preset_family_args(name, flags):
+    """(family, grid, {label: flags}) that the README table gives for a
+    preset: each curve is this --family sweep."""
+    d = flags.get("--delta", "1")
+    pi = repr(math.pi)
+    return {
+        "fig1": ("ideal", "0.01:100:121:log", {f"n{v}": ["--nu", v] for v in ("1", "2", "5")}),
+        "fig2": ("legendre", "0.001:100:101:log",
+                 {"n1": ["--n", "1", "--nu", "1", "--delta", d]}),
+        "fig3": ("ideal", "0.01:100:121:log",
+                 {f"nu{v}": ["--nu", v] for v in ("1", "1.5", "2")}),
+        "fig4": ("legendre", "0.001:100:61:log",
+                 {f"nu{v}": ["--n", "1", "--nu", v, "--delta", d] for v in ("0.5", "0.75", "1")}),
+        "fig5": ("gram", f"0.01:{pi}:121:log",
+                 {f"N{v}": ["--N", v, "--nu", "0.5", "--delta", d]
+                  for v in ("1", "2", "4", "8", "16")}),
+        "fig6": ("gram", f"0.0001:{pi}:121:log",
+                 {f"M{v}": ["--N", "7", "--M", v, "--nu", "0.5", "--delta", d]
+                  for v in ("16", "64", "256", "1024")}),
+        "fig7": ("butterworth", "0.01:1000:121:log",
+                 {"n7": ["--n", "7", "--nu", flags.get("--nu", "0.5"),
+                         "--omega0", flags.get("--omega0", "1")]}),
+    }[name]
+
+
+class TestPresets:
+    """Each preset curve is the --family sweep with the preset's options."""
+
+    OVERRIDES = {"--delta": "0.5", "--nu": "0.3", "--omega0": "2.5",
+                 "--grid": "0.1:3:9:lin", "--M": "32", "--n": "3", "--alpha": "0.5"}
+
+    @pytest.mark.parametrize("flags", [{}, OVERRIDES], ids=["defaults", "overrides"])
+    @pytest.mark.parametrize("name", [f"fig{k}" for k in range(1, 8)])
+    def test_curves_equal_family_sweeps(self, tmp_path, capsys, name, flags):
+        extra = [a for kv in flags.items() for a in kv]
+        code, _, _ = run(["sweep", "--preset", name, *extra,
+                          "-o", str(tmp_path / "p.json")], capsys)
+        assert code == 0
+        family, grid, curves = _preset_family_args(name, flags)
+        grid = flags.get("--grid", grid)
+        multi = len(curves) > 1
+        written = {p.name for p in tmp_path.glob("p*.json")}
+        assert written == {f"p_{label}.json" if multi else "p.json" for label in curves}
+        for label, args in curves.items():
+            fam = tmp_path / f"f_{label}.json"
+            code, _, _ = run(["sweep", "--family", family, *args, "--grid", grid,
+                              "-o", str(fam)], capsys)
+            assert code == 0
+            got = json.loads((tmp_path / (f"p_{label}.json" if multi else "p.json")).read_text())
+            want = json.loads(fam.read_text())
+            assert got["samples"] == want["samples"]
+            meta, ref = got["metadata"], want["metadata"]
+            assert (meta.pop("preset"), meta.pop("label"), ref.pop("label")) == (name, label, "all")
+            meta.pop("run_id")
+            ref.pop("run_id")
+            assert meta == ref
+
+    def test_invalid_design_exits_one_like_the_family(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--preset", "fig5", "--delta", "-1",
+                            "-o", str(tmp_path / "p.txt")], capsys)
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+        assert run(["sweep", "--family", "gram", "--nu", "0.5", "--N", "4", "--delta", "-1",
+                    "-o", str(tmp_path / "f.txt")], capsys)[2] == err
+
+    def test_gram_metadata_has_no_weight_exponents(self, tmp_path, capsys):
+        base = ["sweep", "--nu", "0.5", "--delta", "1", "--N", "4", "--grid", "0.1:1:3:lin"]
+        run(base + ["--family", "gram", "-o", str(tmp_path / "g.json")], capsys)
+        run(base + ["--family", "hahn", "-o", str(tmp_path / "h.json")], capsys)
+        gram = json.loads((tmp_path / "g.json").read_text())
+        hahn = json.loads((tmp_path / "h.json").read_text())
+        assert "alpha" not in gram["metadata"] and "beta" not in gram["metadata"]
+        assert (hahn["metadata"]["alpha"], hahn["metadata"]["beta"]) == (0.0, 0.0)
+        assert gram["samples"] == hahn["samples"]
+
+
+def test_option_table_is_the_config_fields():
+    """One row of cli._OPTIONS per RunConfig field but mode, in order."""
+    assert list(cli._OPTIONS) == [f.name for f in fields(cli.RunConfig)][1:]
+
+
+def test_readme_usage_names_every_long_flag():
+    """The usage block under README's "Command line" lists exactly the
+    long flags the parser accepts, in every mode."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = set(re.findall(r"--\w+", usage))
+    parser = cli.build_parser()
+    modes = next(a for a in parser._actions if a.dest == "mode").choices
+    assert set(modes) == {"filter", "sweep", "metrics"}
+    for sub in modes.values():
+        accepted = {s for a in sub._actions for s in a.option_strings
+                    if s.startswith("--")} - {"--help"}
+        assert accepted == documented
 
 
 class TestMetricsMode:
