@@ -393,8 +393,14 @@ def _hahn_params(cfg: RunConfig, delta: float) -> HahnFilterParams:
                             nu=cfg.nu, delta=delta, M=cfg.M)
 
 
+# sweep families whose transfer function reads the sample step
+_STEP_FAMILIES = ("gl", "gram", "hahn", "jacobi", "legendre")
+
+
 def _family_curve(cfg: RunConfig):
     fam = cfg.family
+    if fam in _STEP_FAMILIES and cfg.delta is not None and not cfg.delta > 0.0:
+        raise ValidationError(f"step must be positive, got --delta {cfg.delta:g}")
     if fam == "ideal":
         if cfg.nu is None:
             raise ValidationError("family ideal needs --nu")

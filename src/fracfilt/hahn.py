@@ -267,6 +267,9 @@ def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> floa
     samples = signal.samples
     taps = weights.taps
     n_bwd = weights.backward.size
+    end = at_index + taps.size - n_bwd       # one past the last sample read
+    if n_bwd <= at_index and end <= samples.size:    # full history, in range
+        return weights.prefactor * float(taps.dot(samples[at_index - n_bwd:end]))
     n_fwd = taps.size - n_bwd - 1
     if not 0 <= at_index < samples.size:
         raise ValidationError(

@@ -22,10 +22,11 @@ then falls back to one call per frequency and poisons only those points.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -82,7 +83,7 @@ class FrequencyGrid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TransferSample:
     """One evaluated grid point.  Points where the transfer evaluation
     failed stay in the record with valid=False and the reason in note."""
@@ -91,6 +92,13 @@ class TransferSample:
     value: complex
     valid: bool = True
     note: str = ""
+
+    def __init__(self, omega: float, value: complex, valid: bool = True,
+                 note: str = "") -> None:
+        _set_omega(self, omega)
+        _set_value(self, value)
+        _set_valid(self, valid)
+        _set_note(self, note)
 
     @property
     def modulus(self) -> float:
@@ -111,18 +119,53 @@ class TransferSample:
         return math.log10(m) if m > 0.0 else -math.inf
 
 
-def _result(omega: float | np.ndarray, value) -> complex | np.ndarray:
-    """complex for a scalar omega, a complex array for an array omega."""
-    return np.asarray(value, dtype=complex) if np.ndim(omega) else complex(value)
+# The slots' own setters.  Frozen guards only __setattr__, and the
+# generated __init__ of a frozen dataclass, which goes through
+# object.__setattr__, costs twice as much for the 1000 samples of a sweep.
+_set_omega, _set_value, _set_valid, _set_note = (
+    getattr(TransferSample, f.name).__set__ for f in fields(TransferSample))
+
+
+def _real_omega(omega):
+    """omega as a float array, or as a numpy float for a scalar omega, so
+    that a one-frequency call does its arithmetic on numpy scalars rather
+    than on 0-d arrays, which cost about 1 us per operation."""
+    return np.asarray(omega, dtype=float)[()]
+
+
+def _result(w, value) -> complex | np.ndarray:
+    """complex for a scalar omega, a complex array for an array omega;
+    w is _real_omega(omega)."""
+    return np.asarray(value, dtype=complex) if w.ndim else complex(value)
+
+
+def _axis_power(w, nu: float, sign: float):
+    """(sign i w)^nu for real w and sign = +1 or -1: |w|^nu e^(sign i pi
+    nu/2) for w > 0.  This is complex_power on the imaginary axis, which
+    never meets the branch cut, so only w = 0 needs a test.  It runs the
+    operations complex_power runs, exp(nu log(sign i w)), so it returns
+    complex_power's values to the bit.
+
+    Only a zero or an infinite w, or nu outside [0, 1) (where |w|^nu can
+    leave double range), raises a floating-point flag here; np.errstate
+    costs about 2 us, so it is entered only then."""
+    zero = w == 0.0
+    edge = np.count_nonzero(zero | (abs(w) == math.inf))
+    if edge and nu < 0.0 and np.count_nonzero(zero):
+        raise DomainError("0**nu diverges for nu < 0")
+    quiet = edge or not 0.0 <= nu < 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quiet \
+            else contextlib.nullcontext():
+        out = np.exp(nu * np.log(sign * 1j * w))
+    return np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out) if edge else out
 
 
 def ideal_transfer(
     nu: float, omega: float | np.ndarray, convention: Convention
 ) -> complex | np.ndarray:
     """Pure power law: (i omega)^nu upper-limit, (-i omega)^nu lower."""
-    if convention is Convention.WEYL:
-        return complex_power(1j * np.asarray(omega), nu)
-    return complex_power(-1j * np.asarray(omega), nu)
+    w = _real_omega(omega)
+    return _result(w, _axis_power(w, nu, 1.0 if convention is Convention.WEYL else -1.0))
 
 
 def jacobi_transfer(
@@ -137,13 +180,13 @@ def jacobi_transfer(
     when alpha = beta = 0.  It stays on Kummer there too, as the route
     independent of the Bessel form that checks legendre_transfer."""
     a, b, n, nu, delta = params.alpha, params.beta, params.n, params.nu, params.delta
-    w = np.asarray(omega, dtype=float)
+    w = _real_omega(omega)
     value = (
-        complex_power(1j * w, nu)
+        _axis_power(w, nu, 1.0)
         * np.exp(-1j * w * delta)
         * kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * w * delta)
     )
-    return _result(omega, value if convention is Convention.WEYL else np.conj(value))
+    return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
 def legendre_transfer(
@@ -163,9 +206,9 @@ def legendre_transfer(
         coeff = float(math.prod(range(1, min(2 * n, 300) + 2, 2)))
     except OverflowError:
         raise DomainError(f"(2n+1)!! overflows double precision at n = {n}") from None
-    w = np.asarray(omega, dtype=float)
-    value = complex_power(1j * w, nu) * coeff * spherical_jn_ratio(n, w * delta)
-    return _result(omega, value if convention is Convention.WEYL else np.conj(value))
+    w = _real_omega(omega)
+    value = _axis_power(w, nu, 1.0) * coeff * spherical_jn_ratio(n, w * delta)
+    return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
 def hahn_transfer(
@@ -184,19 +227,40 @@ def hahn_transfer(
     # gain = G(N+b+1) G(2n+a+b+2) / (G(n+b+1) G(N+n+a+b+2))
     gain = gamma_ratio((N + b + 1.0, 2.0 * n + a + b + 2.0),
                        (n + b + 1.0, N + n + a + b + 2.0))
-    phase = 1j * np.asarray(omega, dtype=float) * params.delta
+    w = _real_omega(omega)
+    phase = 1j * w * params.delta
     value = (
         complex_power((1.0 - np.exp(phase)) / params.delta, params.nu)
         * np.exp(-n * phase)
         * gain
         * hyp2f1(float(n - N), a + n + 1.0, -b - float(N), np.exp(-phase))
     )
-    return _result(omega, value)
+    return _result(w, value)
 
 
 @lru_cache(maxsize=16)
 def _gram_taps(N: int, nu: float, delta: float, M: int):
-    return gram_n1_weights(N, nu, delta, M)
+    """gram_n1_weights' taps laid out for hahn_truncated_transfer: the
+    prefactor, the block matrix, its number of backward rows and the block
+    length B = isqrt(M + N + 1) + 1.  Backward row q holds the coefficients
+    of z^(qB) .. z^(qB + B - 1), z = e^(i w delta), with a 0 for z^0; the
+    forward rows hold the forward taps the same way in powers of 1/z."""
+    w = gram_n1_weights(N, nu, delta, M)
+    B = math.isqrt(w.taps.size) + 1
+    back = _blocks(np.concatenate(([0.0], w.backward)), B)
+    return w.prefactor, np.concatenate((back, _blocks(w.forward, B))), back.shape[0], B
+
+
+def _blocks(coefficients: np.ndarray, B: int) -> np.ndarray:
+    """coefficients zero-padded to whole rows of B, one block per row."""
+    padded = np.zeros(-(-coefficients.size // B) * B)
+    padded[:coefficients.size] = coefficients
+    return padded.reshape(-1, B)
+
+
+# hahn_truncated_transfer takes the frequencies in chunks whose e^(i r w
+# delta) table holds at most about this many entries (1 MB)
+_TABLE_ENTRIES = 1 << 16
 
 
 def hahn_truncated_transfer(
@@ -209,31 +273,48 @@ def hahn_truncated_transfer(
     hahn_transfer as M grows; at omega = 0 it exposes the residual DC gain
     that the truncation leaves behind.
 
-    The sum is two polynomials evaluated by Horner's rule, the backward
-    taps in z = e^(i w delta) and the forward taps in 1/z, so an array of
-    P frequencies costs O(P (M + N)) time and O(P) memory."""
+    The sum is two polynomials, the backward taps in z = e^(i w delta)
+    and the forward taps in 1/z, cut into blocks of B ~ sqrt(M + N)
+    coefficients.  Each block is a cos/sin table of r w delta (r < B)
+    times the block matrix; the blocks of each polynomial are joined by
+    Horner's rule in z^B.  An array of P frequencies costs O(P (M + N))
+    flops in O(sqrt(M + N)) numpy calls per chunk of frequencies."""
     if params.n != 1 or params.alpha != 0.0 or params.beta != 0.0:
         raise ValidationError(
             "truncated response is implemented for the first-order flat-weight "
             "scheme (n = 1, alpha = beta = 0)"
         )
-    w = _gram_taps(params.N, params.nu, params.delta, params.M)
-    phase = 1j * np.asarray(omega, dtype=float) * params.delta
-    z = np.exp(phase)
-    back = z * _horner(w.backward, z)
-    fore = _horner(w.forward, np.exp(-phase))
-    return _result(omega, w.prefactor * (back + fore))
+    prefactor, blocks, n_back, B = _gram_taps(params.N, params.nu, params.delta, params.M)
+    theta = _real_omega(omega) * params.delta
+    flat = np.reshape(theta, -1)
+    out = np.empty(flat.size, dtype=complex)
+    r = np.arange(B, dtype=float)
+    step = max(1, _TABLE_ENTRIES // B)
+    for lo in range(0, flat.size, step):
+        th = flat[lo:lo + step]
+        # row q: sum_r blocks[q, r] e^(i r theta), as one real matrix
+        # product with the table's real and imaginary parts side by side;
+        # a forward row is the conjugate of its block's sum (real taps)
+        sums = (blocks @ _unit_circle(np.multiply.outer(r, th)).view(float)).view(complex)
+        zB = _unit_circle(B * th)
+        back = sums[n_back - 1].copy()
+        for q in range(n_back - 2, -1, -1):
+            back *= zB
+            back += sums[q]
+        fore = sums[-1].copy()
+        for q in range(blocks.shape[0] - 2, n_back - 1, -1):
+            fore *= zB
+            fore += sums[q]
+        out[lo:lo + step] = back + np.conj(fore)
+    return _result(theta, prefactor * out.reshape(np.shape(theta)))
 
 
-def _horner(coefficients: np.ndarray, z):
-    """sum_k coefficients[k] z^k for a scalar or an array z.
-
-    Written out rather than np.polyval, which turns a scalar z into a 0-d
-    array and then pays about 1 us per coefficient."""
-    acc = 0.0
-    for c in coefficients[::-1].tolist():
-        acc = acc * z + c
-    return acc
+def _unit_circle(angles: np.ndarray) -> np.ndarray:
+    """e^(i angles) from one cos and one sin call."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
 
 
 def gl_transfer(
@@ -243,7 +324,8 @@ def gl_transfer(
     to (-i w)^nu as delta -> 0."""
     if not delta > 0.0:
         raise ValidationError(f"step must be positive, got {delta:g}")
-    return complex_power((1.0 - np.exp(1j * np.asarray(omega) * delta)) / delta, nu)
+    w = _real_omega(omega)
+    return _result(w, complex_power((1.0 - np.exp(1j * w * delta)) / delta, nu))
 
 
 def butterworth_fractional_transfer(
@@ -255,9 +337,9 @@ def butterworth_fractional_transfer(
         raise ValidationError(f"filter order n must be a positive integer, got {n!r}")
     if not omega0 > 0.0:
         raise ValidationError(f"corner frequency must be positive, got {omega0:g}")
-    w = np.asarray(omega, dtype=float)
+    w = _real_omega(omega)
     with np.errstate(over="ignore", invalid="ignore"):    # sweep flags inf/NaN
-        return _result(omega, complex_power(-1j * w, nu) / (1.0 + (w / omega0) ** (2 * n)))
+        return _result(w, _axis_power(w, nu, -1.0) / (1.0 + (w / omega0) ** (2 * n)))
 
 
 def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
@@ -362,7 +444,10 @@ def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
     except (FracfiltError, TypeError, ValueError):
         values = None
     if values is not None and values.shape == grid.points.shape:
-        return [_sample(w, v) for w, v in zip(grid.points.tolist(), values.tolist())]
+        # one finiteness test for the whole array; _sample only where it fails
+        finite = np.isfinite(values).tolist()
+        return [TransferSample(w, v) if ok else _sample(w, v)
+                for w, v, ok in zip(grid.points.tolist(), values.tolist(), finite)]
     out: list[TransferSample] = []
     for w in grid.points.tolist():
         try:

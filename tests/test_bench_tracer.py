@@ -14,3 +14,12 @@ def test_every_wrapped_attribute_resolves():
     missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracing.WRAPPED
                if not callable(getattr(module, attr, None))]
     assert not missing
+
+
+def test_tap_cache_keeps_its_lru_interface():
+    """bench/worker.py clears the truncated-transfer tap cache before each
+    op and reads its hit and miss counts after."""
+    from fracfilt import transfer
+
+    assert callable(transfer._gram_taps.cache_clear)
+    assert callable(transfer._gram_taps.cache_info)

@@ -414,6 +414,26 @@ class TestPresets:
         assert run(["sweep", "--family", "gram", "--nu", "0.5", "--N", "4", "--delta", "-1",
                     "-o", str(tmp_path / "f.txt")], capsys)[2] == err
 
+    @pytest.mark.parametrize("delta", ["-1", "0"])
+    def test_every_step_family_refuses_a_non_positive_step(self, tmp_path, capsys, delta):
+        """gl and legendre used to write all-NaN rows and exit 0 here."""
+        errs = set()
+        for i, argv in enumerate([
+            ["--family", "gl", "--nu", "0.5"],
+            ["--family", "legendre", "--nu", "0.5"],
+            ["--family", "jacobi", "--nu", "0.5"],
+            ["--family", "gram", "--nu", "0.5", "--N", "4"],
+            ["--family", "hahn", "--nu", "0.5", "--N", "4"],
+            ["--preset", "fig2"],
+            ["--preset", "fig4"],
+        ]):
+            code, _, err = run(["sweep", *argv, "--delta", delta, "--grid", "0.1:1:3:lin",
+                                "-o", str(tmp_path / f"{i}.txt")], capsys)
+            assert code == 1
+            errs.add(err)
+        assert list(tmp_path.iterdir()) == []
+        assert errs == {f"fracfilt: error: step must be positive, got --delta {delta}\n"}
+
     def test_gram_metadata_has_no_weight_exponents(self, tmp_path, capsys):
         base = ["sweep", "--nu", "0.5", "--delta", "1", "--N", "4", "--grid", "0.1:1:3:lin"]
         run(base + ["--family", "gram", "-o", str(tmp_path / "g.json")], capsys)
