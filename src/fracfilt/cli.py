@@ -7,15 +7,17 @@ sweep    evaluate transfer functions over a frequency grid, either a
          text or JSON
 metrics  usable-band report for the truncated first-order filter
 
-Every option is one row of `_OPTIONS`: the row makes the long flag and
-the config key of the same name, and a config value is converted with
-the flag's type.  Options may come from a flat key=value config file
-(--config); explicit flags override config values, which override
-defaults.  A figure preset is one row of `_PRESETS`: a family, the
-option it sweeps and the options it fixes, so each preset curve is the
-`--family` sweep with those options.  All output is a pure function of
-the inputs: no timestamps, and the run id recorded in sweep metadata is
-settable through the config key run_id.
+Every option is one row of `_OPTIONS`: the row makes the long flag, the
+config key and the `RunConfig` field of the same name, with its default,
+and a config value is converted with the flag's type.  Every family is
+one row of `_FAMILY_ROWS`: the options it needs and records, its
+convention, and how it sweeps and filters.  Options may come from a flat
+key=value config file (--config); explicit flags override config values,
+which override defaults.  A figure preset is one row of `_PRESETS`: a
+family, the option it sweeps and the options it fixes, so each preset
+curve is the `--family` sweep with those options.  All output is a pure
+function of the inputs: no timestamps, and the run id recorded in sweep
+metadata is settable through the config key run_id.
 
 Exit codes: 0 success, 1 validation problem, 2 I/O problem, 3 numeric
 failure.
@@ -28,7 +30,8 @@ import hashlib
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, make_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,31 +64,73 @@ EXIT_NUMERIC = 3
 
 _SPACING_RTOL = 1e-9
 
-_FAMILIES = (
-    "gl", "gram", "hahn", "jacobi", "legendre", "laguerre", "ideal", "butterworth",
-)
+
+def _hahn_params(cfg, delta: float) -> HahnFilterParams:
+    return HahnFilterParams(alpha=cfg.alpha, beta=cfg.beta, N=cfg.N, n=cfg.n,
+                            nu=cfg.nu, delta=delta, M=cfg.M)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully merged options for one invocation."""
+def _hahn_curve(cfg):
+    transfer = hahn_transfer if cfg.M is None else hahn_truncated_transfer
+    return partial(transfer, _hahn_params(cfg, cfg.delta))
 
-    mode: str
-    family: str | None = None
-    nu: float | None = None
-    delta: float | None = None
-    n: int = 1
-    N: int | None = None
-    M: int | None = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    omega0: float = 1.0
-    grid: str | None = None
-    preset: str | None = None
-    causal: bool = False
-    input: str | None = None
-    output: str | None = None
-    run_id: str | None = None
+
+def _gl_taps(cfg, signal: SampledSignal):
+    k = round(cfg.nu)
+    if abs(cfg.nu - k) < 1e-12 and k >= 0:  # integer order: k + 1 taps
+        if k > 1029:  # from k = 1030 on, C(k, k/2) overflows
+            raise DomainError(f"gl taps of integer order {cfg.nu:g} overflow double precision")
+        return gl_weights(cfg.nu, k + 1, signal.delta)
+    return gl_weights(cfg.nu, len(signal), signal.delta)
+
+
+_RL, _WEYL = Convention.RIEMANN_LIOUVILLE, Convention.WEYL
+
+# family -> (options its sweep needs, further options its sweep metadata
+# records when set, convention, config -> transfer closure or None (no
+# sweep), (config, signal) -> filter weights or None (no filter mode)).
+# The builders check the design before a sweep or filter starts, and call
+# the tap builders by their names in this module, which bench/tracing.py
+# wraps.  A family reads its step only if "delta" is among its needs.
+_FAMILY_ROWS = {
+    "gl": (("nu", "delta"), (), _RL, lambda c: partial(gl_transfer, c.nu, c.delta), _gl_taps),
+    "gram": (("nu", "delta", "N"), ("n", "M"), _RL, _hahn_curve, lambda c, s: gram_n1_weights(
+        c.N, c.nu, s.delta, default_history(c.N, 1, c.nu) if c.M is None else c.M)),
+    "hahn": (("nu", "delta", "N"), ("n", "alpha", "beta", "M"), _RL, _hahn_curve,
+             lambda c, s: hahn_weights(_hahn_params(c, s.delta))),
+    "jacobi": (("nu", "delta"), ("n", "alpha", "beta"), _WEYL, lambda c: partial(
+        jacobi_transfer, JacobiKernelParams(c.alpha, c.beta, c.n, c.nu, c.delta)), None),
+    "legendre": (("nu", "delta"), ("n",), _WEYL,
+                 lambda c: partial(legendre_transfer, c.n, c.nu, c.delta), None),
+    "laguerre": ((), (), _WEYL, None, None),
+    "ideal": (("nu",), (), _RL, lambda c: partial(ideal_transfer, c.nu, convention=_RL), None),
+    "butterworth": (("nu",), ("n", "omega0"), _RL, lambda c: partial(
+        butterworth_fractional_transfer, c.nu, c.n, c.omega0), None),
+}
+_FAMILIES = tuple(_FAMILY_ROWS)
+
+
+def _listing(words, conjunction: str) -> str:
+    """'a', 'a and b', or 'a, b, and c'."""
+    if len(words) < 3:
+        return f" {conjunction} ".join(words)
+    return f"{', '.join(words[:-1])}, {conjunction} {words[-1]}"
+
+
+def _design(cfg):
+    """The config a family's design reads: gram is the hahn design at
+    n = 1, alpha = beta = 0.  Applied after the run id hashed the config."""
+    return replace(cfg, n=1, alpha=0.0, beta=0.0) if cfg.family == "gram" else cfg
+
+
+def _require(cfg, needs) -> None:
+    """Refuse a non-positive step of a family that reads it, then a config
+    missing any option the family needs."""
+    if "delta" in needs and cfg.delta is not None and not cfg.delta > 0.0:
+        raise ValidationError(f"step must be positive, got --delta {cfg.delta:g}")
+    if any(getattr(cfg, name) is None for name in needs):
+        flags = _listing([f"--{name}" for name in needs], "and")
+        raise ValidationError(f"family {cfg.family} needs {flags}")
 
 
 def _to_bool(text: str) -> bool:
@@ -97,26 +142,31 @@ def _to_bool(text: str) -> bool:
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
-# name -> (type, metavar, help).  Each name is a config key; all but
-# run_id are also long flags.  A config value is converted with the
-# type; causal is a switch on the command line.
+# name -> (type, default, metavar, help).  Each name is a config key and,
+# in this order after mode, a RunConfig field (the run id hashes the
+# fields in that order); all but run_id are also long flags.  A config value is converted with the type; causal is a
+# switch on the command line.
 _OPTIONS = {
-    "family": (str, "F", f"one of {', '.join(_FAMILIES)}"),
-    "nu": (float, "X", "fractional order"),
-    "delta": (float, "X", "sample step"),
-    "n": (int, "N", "integer scheme order"),
-    "N": (int, "W", "window degree / forward taps"),
-    "M": (int, "M", "backward history length"),
-    "alpha": (float, "A", "left weight exponent"),
-    "beta": (float, "B", "right weight exponent"),
-    "omega0": (float, "W0", "corner frequency"),
-    "grid": (str, "LO:HI:POINTS:log|lin", "frequency grid"),
-    "preset": (str, "figN", "figure preset fig1..fig7"),
-    "causal": (_to_bool, None, "treat samples before the first row as exact zeros"),
-    "input": (str, "IN", "input CSV"),
-    "output": (str, "OUT", "output path"),
-    "run_id": (str, None, None),
+    "family": (str, None, "F", f"one of {', '.join(_FAMILIES)}"),
+    "nu": (float, None, "X", "fractional order"),
+    "delta": (float, None, "X", "sample step"),
+    "n": (int, 1, "N", "integer scheme order"),
+    "N": (int, None, "W", "window degree / forward taps"),
+    "M": (int, None, "M", "backward history length"),
+    "alpha": (float, 0.0, "A", "left weight exponent"),
+    "beta": (float, 0.0, "B", "right weight exponent"),
+    "omega0": (float, 1.0, "W0", "corner frequency"),
+    "grid": (str, None, "LO:HI:POINTS:log|lin", "frequency grid"),
+    "preset": (str, None, "figN", "figure preset fig1..fig7"),
+    "causal": (_to_bool, False, None, "treat samples before the first row as exact zeros"),
+    "input": (str, None, "IN", "input CSV"),
+    "output": (str, None, "OUT", "output path"),
+    "run_id": (str, None, None, None),
 }
+
+RunConfig = make_dataclass("RunConfig", [("mode", str)] + [
+    (name, row[0], row[1]) for name, row in _OPTIONS.items()], frozen=True, namespace={
+    "__module__": __name__, "__doc__": "Fully merged options for one invocation."})
 
 
 def _read_ascii_lines(path: str) -> list[str]:
@@ -244,8 +294,8 @@ def read_signal_file(path: str):
 def write_signal_file(path: str, x, values, valid) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("x,value,valid\n")
-        for xi, vi, fi in zip(x, values, valid):
-            fh.write(f"{float(xi)!r},{float(vi)!r},{int(fi)}\n")
+        fh.writelines(f"{xi!r},{vi!r},{fi}\n" for xi, vi, fi in
+                      zip(x.tolist(), values.tolist(), valid.tolist()))
 
 
 def _signal_from_columns(cfg: RunConfig, x: np.ndarray, values: np.ndarray) -> SampledSignal:
@@ -267,37 +317,17 @@ def _signal_from_columns(cfg: RunConfig, x: np.ndarray, values: np.ndarray) -> S
                          causal=cfg.causal)
 
 
-def _integer_order(nu: float) -> int | None:
-    near = round(nu)
-    return int(near) if abs(nu - near) < 1e-12 and near >= 0 else None
-
-
 def _filter_taps(cfg: RunConfig, signal: SampledSignal):
     """Return (backward count M, forward count N, taps in offset order
     -M..N, prefactor)."""
-    if cfg.nu is None:
-        raise ValidationError(f"family {cfg.family} needs --nu")
-    if cfg.family == "gl":
-        k = _integer_order(cfg.nu)
-        if k is not None and k > 1029:  # from k = 1030 on, C(k, k/2) overflows
-            raise DomainError(f"gl taps of integer order {cfg.nu:g} overflow double precision")
-        w = gl_weights(cfg.nu, k + 1 if k is not None else len(signal), signal.delta)
-    elif cfg.family == "gram":
-        if cfg.N is None:
-            raise ValidationError("family gram needs --N")
-        M = cfg.M if cfg.M is not None else default_history(cfg.N, 1, cfg.nu)
-        w = gram_n1_weights(cfg.N, cfg.nu, signal.delta, M)
-    elif cfg.family == "hahn":
-        if cfg.N is None:
-            raise ValidationError("family hahn needs --N")
-        w = hahn_weights(_hahn_params(cfg, signal.delta))
-    elif cfg.family in ("jacobi", "legendre", "laguerre"):
+    needs, _, _, _, taps = _FAMILY_ROWS[cfg.family]
+    if taps is None:
+        filtering = _listing([f for f, row in _FAMILY_ROWS.items() if row[4]], "or")
         raise ValidationError(
-            f"family {cfg.family} is a continuous kernel and needs a callable "
-            "integrand; for sampled data use gl, gram, or hahn"
-        )
-    else:
-        raise ValidationError(f"family {cfg.family!r} has no filter mode")
+            f"family {cfg.family} has no filter mode; for sampled data use {filtering}")
+    cfg = _design(cfg)
+    _require(cfg, tuple(name for name in needs if name != "delta"))  # the file sets it
+    w = taps(cfg, signal)
     return w.backward.size, w.forward.size - 1, w.taps, w.prefactor
 
 
@@ -384,74 +414,19 @@ def _preset_curves(cfg: RunConfig):
     return FrequencyGrid.logarithmic(*grid), curves
 
 
-def _hahn_params(cfg: RunConfig, delta: float) -> HahnFilterParams:
-    """The design of family gram or hahn; gram is n = 1, alpha = beta = 0."""
-    if cfg.family == "gram":
-        return HahnFilterParams(alpha=0.0, beta=0.0, N=cfg.N, n=1, nu=cfg.nu,
-                                delta=delta, M=cfg.M)
-    return HahnFilterParams(alpha=cfg.alpha, beta=cfg.beta, N=cfg.N, n=cfg.n,
-                            nu=cfg.nu, delta=delta, M=cfg.M)
-
-
-# sweep families whose transfer function reads the sample step
-_STEP_FAMILIES = ("gl", "gram", "hahn", "jacobi", "legendre")
-
-
 def _family_curve(cfg: RunConfig):
-    fam = cfg.family
-    if fam in _STEP_FAMILIES and cfg.delta is not None and not cfg.delta > 0.0:
-        raise ValidationError(f"step must be positive, got --delta {cfg.delta:g}")
-    if fam == "ideal":
-        if cfg.nu is None:
-            raise ValidationError("family ideal needs --nu")
-        conv = Convention.RIEMANN_LIOUVILLE
-        return (lambda w: ideal_transfer(cfg.nu, w, conv)), {
-            "family": fam, "convention": conv.value, "nu": cfg.nu}
-    if fam == "gl":
-        if cfg.nu is None or cfg.delta is None:
-            raise ValidationError("family gl needs --nu and --delta")
-        return (lambda w: gl_transfer(cfg.nu, cfg.delta, w)), {
-            "family": fam, "convention": Convention.RIEMANN_LIOUVILLE.value,
-            "nu": cfg.nu, "delta": cfg.delta}
-    if fam in ("gram", "hahn"):
-        if cfg.nu is None or cfg.delta is None or cfg.N is None:
-            raise ValidationError(f"family {fam} needs --nu, --delta, and --N")
-        params = _hahn_params(cfg, cfg.delta)
-        base = {"family": fam, "convention": Convention.RIEMANN_LIOUVILLE.value,
-                "nu": cfg.nu, "delta": cfg.delta, "N": cfg.N, "n": params.n}
-        if fam == "hahn":
-            base.update(alpha=cfg.alpha, beta=cfg.beta)
-        if cfg.M is not None:
-            base["M"] = params.M
-            return (lambda w: hahn_truncated_transfer(params, w)), base
-        return (lambda w: hahn_transfer(params, w)), base
-    if fam == "jacobi":
-        if cfg.nu is None or cfg.delta is None:
-            raise ValidationError("family jacobi needs --nu and --delta")
-        params = JacobiKernelParams(alpha=cfg.alpha, beta=cfg.beta, n=cfg.n,
-                                    nu=cfg.nu, delta=cfg.delta)
-        return (lambda w: jacobi_transfer(params, w)), {
-            "family": fam, "convention": Convention.WEYL.value, "nu": cfg.nu,
-            "delta": cfg.delta, "n": cfg.n, "alpha": cfg.alpha, "beta": cfg.beta}
-    if fam == "legendre":
-        if cfg.nu is None or cfg.delta is None:
-            raise ValidationError("family legendre needs --nu and --delta")
-        return (lambda w: legendre_transfer(cfg.n, cfg.nu, cfg.delta, w)), {
-            "family": fam, "convention": Convention.WEYL.value, "nu": cfg.nu,
-            "delta": cfg.delta, "n": cfg.n}
-    if fam == "butterworth":
-        if cfg.nu is None:
-            raise ValidationError("family butterworth needs --nu")
-        return (lambda w: butterworth_fractional_transfer(
-            cfg.nu, cfg.n, cfg.omega0, w)), {
-            "family": fam, "convention": Convention.RIEMANN_LIOUVILLE.value,
-            "nu": cfg.nu, "n": cfg.n, "omega0": cfg.omega0}
-    if fam == "laguerre":
+    """(transfer closure, metadata) of a --family sweep; the design is
+    checked here, before the sweep starts."""
+    needs, records, convention, transfer, _ = _FAMILY_ROWS[cfg.family]
+    cfg = _design(cfg)
+    _require(cfg, needs)
+    if transfer is None:
+        sweeping = ", ".join(f for f, row in _FAMILY_ROWS.items() if row[3])
         raise ValidationError(
-            "the half-line kernel family has no closed transfer here; sweep "
-            "families: ideal, gl, gram, hahn, jacobi, legendre, butterworth"
-        )
-    raise ValidationError("sweep mode needs --family or --preset")
+            f"family {cfg.family} has no closed transfer here; sweep families: {sweeping}")
+    meta = {"family": cfg.family, "convention": convention.value}
+    meta.update((k, getattr(cfg, k)) for k in needs + records if getattr(cfg, k) is not None)
+    return transfer(cfg), meta
 
 
 def _curve_path(output: str, label: str, multi: bool) -> str:
@@ -468,6 +443,8 @@ def run_sweep(cfg: RunConfig) -> int:
         raise ValidationError("sweep mode needs -o output (.txt or .json)")
     if cfg.preset is not None:
         grid, curves = _preset_curves(cfg)
+    elif cfg.family is None:
+        raise ValidationError("sweep mode needs --family or --preset")
     else:
         closure, meta = _family_curve(cfg)
         grid = FrequencyGrid.logarithmic(1e-2, 1e2, 121)
@@ -495,22 +472,14 @@ def run_sweep(cfg: RunConfig) -> int:
 def run_metrics(cfg: RunConfig) -> int:
     if cfg.family not in ("gram", "hahn"):
         raise ValidationError("metrics mode covers families gram and hahn")
-    if cfg.nu is None or cfg.delta is None or cfg.N is None:
-        raise ValidationError("metrics mode needs --nu, --delta, and --N")
+    cfg = _design(cfg)
+    _require(cfg, _FAMILY_ROWS[cfg.family][0])
     params = _hahn_params(cfg, cfg.delta)
     m = filter_metrics(params)  # rejects all but n = 1, alpha = beta = 0
-    lines = [
-        f"family = {cfg.family}",
-        f"N = {params.N}",
-        f"M = {params.M}",
-        f"nu = {params.nu!r}",
-        f"delta = {params.delta!r}",
-        f"h_zero = {m.h_zero!r}",
-        f"omega_lower = {m.omega_lower!r}",
-        f"omega_lower_practical = {m.omega_lower_practical!r}",
-        f"omega_max = {m.omega_max!r}",
-        f"bandwidth = {'none (band empty)' if m.bandwidth is None else repr(m.bandwidth)}",
-    ]
+    lines = [f"family = {cfg.family}"]
+    lines += [f"{k} = {getattr(params, k)!r}" for k in ("N", "M", "nu", "delta")]
+    lines += [f"{k} = {'none (band empty)' if v is None else repr(v)}"
+              for k, v in asdict(m).items()]
     if m.omega_max == 0.0:
         lines.append("note = nu = 1 is the integer-order edge: the validity "
                      "window closes and omega_max degenerates to 0")
@@ -532,7 +501,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat key=value option file")
-    for name, (conv, metavar, text) in _OPTIONS.items():
+    for name, (conv, _, metavar, text) in _OPTIONS.items():
         if text is None:  # run_id is a config key only
             continue
         flags = [f"--{name}"]

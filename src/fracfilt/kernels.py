@@ -431,33 +431,3 @@ def orthogonal_derivative(
     raise ConvergenceError(
         f"quadrature failed to settle for the order-{n} derivative at x = {x:g}"
     )
-
-
-def oracle_double_integral(f, params: JacobiKernelParams, x: float) -> float:
-    """Reference route for apply_kernel: the order-(n-nu) upper-limit
-    integral of f evaluated pointwise by quadrature, then pushed through
-    the integer-order orthogonal_derivative (with the upper-limit sign
-    (-1)^n).  No interchange of the two integrals, so agreement with
-    apply_kernel checks exactly the step the kernel construction relies
-    on.  Slow; intended for tests."""
-    mu = params.n - params.nu
-    if mu < 0.0:
-        raise ValidationError(f"needs nu <= n, got nu = {params.nu:g}, n = {params.n}")
-    if mu == 0.0:
-        smoothed = f
-    else:
-        from scipy import integrate
-
-        inv_mu = 1.0 / mu
-        norm = mu * gamma(mu)
-
-        def smoothed(t: float) -> float:
-            val, _ = integrate.quad(
-                lambda r: f(t + r ** inv_mu), 0.0, math.inf, limit=400
-            )
-            return val / norm
-
-    sign = -1.0 if params.n % 2 else 1.0
-    return sign * orthogonal_derivative(
-        smoothed, params.n, params.alpha, params.beta, params.delta, x
-    )

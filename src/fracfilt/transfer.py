@@ -147,17 +147,24 @@ def _axis_power(w, nu: float, sign: float):
     complex_power's values to the bit.
 
     Only a zero or an infinite w, or nu outside [0, 1) (where |w|^nu can
-    leave double range), raises a floating-point flag here; np.errstate
-    costs about 2 us, so it is entered only then."""
+    leave double range), raises a floating-point flag here."""
     zero = w == 0.0
     edge = np.count_nonzero(zero | (abs(w) == math.inf))
     if edge and nu < 0.0 and np.count_nonzero(zero):
         raise DomainError("0**nu diverges for nu < 0")
-    quiet = edge or not 0.0 <= nu < 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quiet \
-            else contextlib.nullcontext():
+    with _quiet(edge or not 0.0 <= nu < 1.0):
         out = np.exp(nu * np.log(sign * 1j * w))
     return np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out) if edge else out
+
+
+def _quiet(on):
+    """np.errstate ignoring the divide, invalid and overflow flags if on,
+    else a no-op.  errstate costs about 2 us, so callers turn it on only
+    where a flag can be raised: a power of order nu outside [0, 1) can
+    leave double range, and inf times a factor that underflowed to 0 is
+    NaN.  sweep flags those inf/NaN points invalid."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore") if on \
+        else contextlib.nullcontext()
 
 
 def ideal_transfer(
@@ -181,11 +188,10 @@ def jacobi_transfer(
     independent of the Bessel form that checks legendre_transfer."""
     a, b, n, nu, delta = params.alpha, params.beta, params.n, params.nu, params.delta
     w = _real_omega(omega)
-    value = (
-        _axis_power(w, nu, 1.0)
-        * np.exp(-1j * w * delta)
-        * kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * w * delta)
-    )
+    power = _axis_power(w, nu, 1.0)
+    confluent = kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * w * delta)
+    with _quiet(not 0.0 <= nu < 1.0):
+        value = power * np.exp(-1j * w * delta) * confluent
     return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
@@ -207,7 +213,10 @@ def legendre_transfer(
     except OverflowError:
         raise DomainError(f"(2n+1)!! overflows double precision at n = {n}") from None
     w = _real_omega(omega)
-    value = _axis_power(w, nu, 1.0) * coeff * spherical_jn_ratio(n, w * delta)
+    power = _axis_power(w, nu, 1.0)
+    ratio = spherical_jn_ratio(n, w * delta)
+    with _quiet(not 0.0 <= nu < 1.0):
+        value = power * coeff * ratio
     return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
@@ -229,12 +238,10 @@ def hahn_transfer(
                        (n + b + 1.0, N + n + a + b + 2.0))
     w = _real_omega(omega)
     phase = 1j * w * params.delta
-    value = (
-        complex_power((1.0 - np.exp(phase)) / params.delta, params.nu)
-        * np.exp(-n * phase)
-        * gain
-        * hyp2f1(float(n - N), a + n + 1.0, -b - float(N), np.exp(-phase))
-    )
+    power = complex_power((1.0 - np.exp(phase)) / params.delta, params.nu)
+    series = hyp2f1(float(n - N), a + n + 1.0, -b - float(N), np.exp(-phase))
+    with _quiet(not 0.0 <= params.nu < 1.0):
+        value = power * np.exp(-n * phase) * gain * series
     return _result(w, value)
 
 

@@ -445,6 +445,53 @@ class TestPresets:
         assert gram["samples"] == hahn["samples"]
 
 
+# Each family's sweep metadata for FAMILY_FLAGS (pinned, run_id included)
+# and its message when no option is given.  gram records n = 1 and no
+# weight exponents whatever --n, --alpha and --beta say.
+FAMILY_FLAGS = ["--nu", "0.5", "--delta", "0.5", "--N", "4", "--M", "32", "--n", "2",
+                "--alpha", "0.25", "--beta", "0.75", "--omega0", "2", "--grid", "0.1:1:3:lin"]
+_SWEEP_META = {"grid": "0.1:1:3:lin", "label": "all", "mode": "sweep", "nu": 0.5}
+_RL = {"convention": "riemann_liouville"}
+_NO_TRANSFER = ("family laguerre has no closed transfer here; sweep families: "
+                "gl, gram, hahn, jacobi, legendre, ideal, butterworth")
+FAMILY_SWEEPS = {
+    "gl": ({**_RL, "delta": 0.5, "run_id": "c509f84ed3a9"},
+           "family gl needs --nu and --delta"),
+    "gram": ({**_RL, "delta": 0.5, "N": 4, "M": 32, "n": 1, "run_id": "e875da6624c2"},
+             "family gram needs --nu, --delta, and --N"),
+    "hahn": ({**_RL, "delta": 0.5, "N": 4, "M": 32, "n": 2, "alpha": 0.25, "beta": 0.75,
+              "run_id": "1fe97bb3b663"}, "family hahn needs --nu, --delta, and --N"),
+    "jacobi": ({"convention": "weyl", "delta": 0.5, "n": 2, "alpha": 0.25, "beta": 0.75,
+                "run_id": "1a041d9df9b3"}, "family jacobi needs --nu and --delta"),
+    "legendre": ({"convention": "weyl", "delta": 0.5, "n": 2, "run_id": "94b2a3fe6c6e"},
+                 "family legendre needs --nu and --delta"),
+    "laguerre": (None, _NO_TRANSFER),
+    "ideal": ({**_RL, "run_id": "0d74c6cd107b"}, "family ideal needs --nu"),
+    "butterworth": ({**_RL, "n": 2, "omega0": 2.0, "run_id": "ce1adba8fd3d"},
+                    "family butterworth needs --nu"),
+}
+
+
+def test_every_family_is_pinned():
+    assert tuple(FAMILY_SWEEPS) == cli._FAMILIES
+
+
+@pytest.mark.parametrize("family", cli._FAMILIES)
+def test_family_sweep_metadata_and_needs(tmp_path, capsys, family):
+    meta, needs = FAMILY_SWEEPS[family]
+    out = tmp_path / "s.json"
+    code, _, err = run(["sweep", "--family", family, *FAMILY_FLAGS, "-o", str(out)], capsys)
+    if meta is None:
+        assert (code, err) == (1, f"fracfilt: error: {needs}\n")
+    else:
+        assert code == 0
+        assert json.loads(out.read_text())["metadata"] == {**_SWEEP_META, **meta,
+                                                          "family": family}
+    code, _, err = run(["sweep", "--family", family, "-o", str(tmp_path / "x.json")], capsys)
+    assert (code, err) == (1, f"fracfilt: error: {needs}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_option_table_is_the_config_fields():
     """One row of cli._OPTIONS per RunConfig field but mode, in order."""
     assert list(cli._OPTIONS) == [f.name for f in fields(cli.RunConfig)][1:]

@@ -1,7 +1,7 @@
 """The package and its CLI start without scipy.
 
-Only the scipy-backed quadrature routines (the reference operators and
-oracles) use scipy, and they import it on first use; apply_kernel runs
+Only the scipy-backed quadrature routines (the reference operators) use
+scipy, and they import it on first use; apply_kernel runs
 its own tanh-sinh rule.  Each case runs in a fresh interpreter, since the
 test process itself has usually imported scipy already.
 """

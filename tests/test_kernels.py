@@ -18,7 +18,6 @@ from fracfilt.kernels import (
     jacobi_kernel,
     jacobi_normalization,
     laguerre_kernel,
-    oracle_double_integral,
     orthogonal_derivative,
 )
 from fracfilt.specfun import SQRT_TWO_PI, gamma
@@ -67,6 +66,36 @@ def design_cases(count: int) -> list:
                                delta=float(rng.uniform(0.03, 2.0)))
         cases.append((p, float(rng.uniform(-1.0, 1.0))))
     return cases
+
+
+def oracle_double_integral(f, params: JacobiKernelParams, x: float) -> float:
+    """Reference route for apply_kernel: the order-(n-nu) upper-limit
+    integral of f evaluated pointwise by quadrature, then pushed through
+    the integer-order orthogonal_derivative (with the upper-limit sign
+    (-1)^n).  No interchange of the two integrals, so agreement with
+    apply_kernel checks exactly the step the kernel construction relies
+    on.  Slow."""
+    mu = params.n - params.nu
+    if mu < 0.0:
+        raise ValidationError(f"needs nu <= n, got nu = {params.nu:g}, n = {params.n}")
+    if mu == 0.0:
+        smoothed = f
+    else:
+        from scipy import integrate
+
+        inv_mu = 1.0 / mu
+        norm = mu * gamma(mu)
+
+        def smoothed(t: float) -> float:
+            val, _ = integrate.quad(
+                lambda r: f(t + r ** inv_mu), 0.0, math.inf, limit=400
+            )
+            return val / norm
+
+    sign = -1.0 if params.n % 2 else 1.0
+    return sign * orthogonal_derivative(
+        smoothed, params.n, params.alpha, params.beta, params.delta, x
+    )
 
 
 class TestParams:

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -634,6 +635,50 @@ class TestSweepArrayPath:
             for a, b in zip(arr, one):
                 assert a.omega == b.omega and a.valid and b.valid
                 assert abs(a.value - b.value) <= 1e-12 * scale
+
+
+def _mp_log10_modulus(family, omega):
+    """log10|H| at order 200 by mpmath for the designs of
+    TestLargeOrderOverflow."""
+    with mpmath.workdps(30):
+        w = mpmath.mpf(omega)
+        if family == "legendre":   # n = 1, delta = 1/2: 3 j_1(x)/x
+            x = w / 2
+            j1 = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(1.5, x)
+            return float(200 * mpmath.log10(w) + mpmath.log10(3 * abs(j1) / x))
+        delta = mpmath.mpf(0.01)
+        if family == "jacobi":     # n = 200, alpha = beta = 0
+            m = mpmath.hyp1f1(201, 402, 2j * w * delta)
+            return float(200 * mpmath.log10(w) + mpmath.log10(abs(m)))
+        # hahn at N = n = 200: the 2F1 and the gain are 1, |H| = |B|^200
+        return float(200 * mpmath.log10(abs((1 - mpmath.exp(1j * w * delta)) / delta)))
+
+
+class TestLargeOrderOverflow:
+    """At order 200, (i w)^nu leaves double range inside the grid.  The
+    transfer returns inf or NaN there without a numpy RuntimeWarning, and
+    exactly the points whose true modulus is past double range come back
+    non-finite and are flagged by sweep."""
+
+    @pytest.mark.parametrize("family, transfer", [
+        ("legendre", lambda w: legendre_transfer(1, 200.0, 0.5, w)),
+        ("jacobi", lambda w: jacobi_transfer(
+            JacobiKernelParams(alpha=0.0, beta=0.0, n=200, nu=200.0, delta=0.01), w)),
+        ("hahn", lambda w: hahn_transfer(
+            HahnFilterParams(alpha=0.0, beta=0.0, N=200, n=200, nu=200.0, delta=0.01), w)),
+    ], ids=["legendre", "jacobi", "hahn"])
+    def test_overflow_is_quiet_and_flagged(self, family, transfer):
+        omega = np.logspace(-1, 3, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = transfer(omega)
+            samples = sweep(transfer, FrequencyGrid.logarithmic(0.1, 1e3, 50))
+        finite = np.isfinite(value)
+        exact = np.array([_mp_log10_modulus(family, w) for w in omega])
+        assert np.count_nonzero(~finite) == 18
+        assert np.all(exact[~finite] > 310.0) and np.all(exact[finite] < 307.0)
+        assert np.allclose(np.log10(abs(value[finite])), exact[finite], rtol=0, atol=1e-12)
+        assert [s.valid for s in samples] == [bool(f) for f in finite]
 
 
 class TestFitLoglogSlope:
