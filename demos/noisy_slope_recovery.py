@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from fracfilt import SampledSignal, apply_discrete_filter, gl_difference, gram_n1_weights
+from fracfilt import SampledSignal, filter_signal, gl_weights, gram_n1_weights
 
 DELTA = 1e-2
 COEFF = math.gamma(3.0) / math.gamma(2.5)
@@ -26,8 +26,8 @@ def rms(errors):
 def main():
     count = round(2.4 / DELTA) + 1
     x = np.arange(count) * DELTA
-    probes = [round(xi / DELTA) for xi in np.arange(1.0, 1.81, 0.05)]
-    exact = {i: COEFF * (i * DELTA) ** 1.5 for i in probes}
+    probes = np.array([round(xi / DELTA) for xi in np.arange(1.0, 1.81, 0.05)])
+    exact = COEFF * (probes * DELTA) ** 1.5
 
     print(f"rms error of d^0.5 x^2 over x in [1.0, 1.8], delta = {DELTA:g}")
     print("  sigma      gl        " + "".join(f"N={N:<7}" for N in WINDOWS))
@@ -35,12 +35,9 @@ def main():
         rng = np.random.default_rng(7)
         noisy = x * x + sigma * rng.standard_normal(count)
         signal = SampledSignal(x0=0.0, delta=DELTA, samples=noisy, causal=True)
-        cells = [rms([gl_difference(signal, 0.5, i, i + 1) - exact[i]
-                      for i in probes])]
-        for N in WINDOWS:
-            weights = gram_n1_weights(N, 0.5, DELTA, M=200)
-            cells.append(rms([apply_discrete_filter(signal, weights, i) - exact[i]
-                              for i in probes]))
+        designs = [gl_weights(0.5, count, DELTA)]
+        designs += [gram_n1_weights(N, 0.5, DELTA, M=200) for N in WINDOWS]
+        cells = [rms(filter_signal(signal, w)[0][probes] - exact) for w in designs]
         print(f"  {sigma:<8g}" + "".join(f"{c:.2e}  " for c in cells))
     print()
     print("clean record: nothing beats the plain difference.  at three")

@@ -33,6 +33,7 @@ from .hahn import (
     apply_discrete_filter,
     default_history,
     export_taps,
+    filter_signal,
     gram_n1_weights,
     hahn_normalization,
     hahn_polynomial,
@@ -96,6 +97,7 @@ __all__ = [
     "default_history",
     "export_taps",
     "filter_metrics",
+    "filter_signal",
     "fit_loglog_slope",
     "gegenbauer_legendre_params",
     "gl_coefficients",

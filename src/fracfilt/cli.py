@@ -39,7 +39,8 @@ from .errors import DomainError, FracfiltError, ValidationError
 # gl_coefficients is not called here, but bench/tracing.py wraps it as
 # an attribute of this module
 from .fracops import SampledSignal, gl_coefficients, gl_weights  # noqa: F401
-from .hahn import HahnFilterParams, default_history, gram_n1_weights, hahn_weights
+from .hahn import (FilterWeights, HahnFilterParams, default_history, filter_signal,
+                   gram_n1_weights, hahn_weights)
 from .kernels import JacobiKernelParams
 from .transfer import (
     Convention,
@@ -336,21 +337,12 @@ def run_filter(cfg: RunConfig) -> int:
         raise ValidationError("filter mode needs --family (gl, gram, or hahn)")
     if cfg.input is None or cfg.output is None:
         raise ValidationError("filter mode needs -i input.csv and -o output.csv")
-    x, values, _ = read_signal_file(cfg.input)
+    x, values, flags = read_signal_file(cfg.input)
+    if flags is not None:  # a row flagged invalid holds no sample
+        values = np.where(flags == 0, math.nan, values)
     signal = _signal_from_columns(cfg, x, values)
-    M, N, taps, prefactor = _filter_taps(cfg, signal)
-
-    L = len(signal)
-    padded = np.concatenate([np.zeros(M), signal.samples, np.zeros(N)])
-    # np.correlate slides the tap vector without reversing it, so taps in
-    # offset order -M..N line up with padded[j-M..j+N]
-    out = prefactor * np.correlate(padded, taps, mode="valid")[:L]
-    valid = np.ones(L, dtype=int)
-    if N > 0:
-        valid[L - N:] = 0  # lookahead ran past the data
-    if not signal.causal and M > 0:
-        valid[:M] = 0      # history is unknown, not zero
-    out = np.where(valid == 1, out, math.nan)
+    M, _, taps, prefactor = _filter_taps(cfg, signal)
+    out, valid = filter_signal(signal, FilterWeights(taps[M:], taps[:M][::-1], prefactor))
     write_signal_file(cfg.output, x, out, valid)
     return EXIT_OK
 

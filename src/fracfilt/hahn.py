@@ -280,14 +280,33 @@ def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> floa
             f"filter needs {n_fwd} samples of lookahead at index {at_index}, "
             f"signal ends at {samples.size - 1}"
         )
-    available = min(n_bwd, at_index)
-    if available < n_bwd and not signal.causal:
+    if not signal.causal:  # past the checks above, at_index < n_bwd
         raise ValidationError(
             f"filter needs {n_bwd} samples of history at index {at_index}; "
             "only a causal signal may substitute zeros"
         )
-    window = samples[at_index - available: at_index + n_fwd + 1]
-    return weights.prefactor * float(taps[n_bwd - available:] @ window)
+    window = samples[:at_index + n_fwd + 1]
+    return weights.prefactor * float(taps[n_bwd - at_index:] @ window)
+
+
+def filter_signal(signal, weights: FilterWeights):
+    """Evaluate the filter at every sample position: (values, valid).
+
+    valid is 1 exactly where apply_discrete_filter returns a value (N
+    samples of lookahead, and M of history unless the signal is causal)
+    and that value is finite; every other value is NaN.  The values are
+    one correlation of the taps with the samples padded by zeros.
+    """
+    L, M = len(signal), weights.backward.size
+    N = weights.taps.size - M - 1
+    padded = np.concatenate([np.zeros(M), signal.samples, np.zeros(N)])
+    # np.correlate slides the taps without reversing them, so taps in
+    # offset order -M..N line up with padded[i..i+M+N]
+    values = weights.prefactor * np.correlate(padded, weights.taps, mode="valid")
+    valid = np.isfinite(values)
+    valid[:0 if signal.causal else M] = False  # no history
+    valid[max(L - N, 0):] = False  # no lookahead
+    return np.where(valid, values, math.nan), valid.astype(int)
 
 
 def export_taps(weights: FilterWeights, destination) -> None:

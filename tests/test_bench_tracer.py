@@ -45,6 +45,31 @@ def test_filter_taps_returns_what_the_hook_unpacks(family, options):
     assert tracer.counters == {"cli.taps": taps.size, "cli.convolve_macs": 64 * taps.size}
 
 
+def test_traced_filter_op_keeps_its_layers(tmp_path):
+    """One traced `filter` op: reading, the tap build and writing are
+    spans under cli.run_filter, and nothing else is, so the correlation
+    in hahn.filter_signal stays run_filter's self time (cli.convolve_s)."""
+    L, M, N = 200, 20, 4
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("x,value\n" + "".join(f"{0.1 * i!r},{i * i!r}\n" for i in range(L)))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_op(0, cli.main, ["filter", "--family", "gram", "--nu", "0.5",
+                                           "--N", str(N), "--M", str(M),
+                                           "-i", str(src), "-o", str(dst)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    a = tracer.arrays()
+    names = [tracer.names[i] for i in a["name_id"]]
+    under = np.flatnonzero(a["parent"] == names.index("cli.run_filter"))
+    assert sorted(names[j] for j in under) == ["cli.read", "cli.taps", "cli.write"]
+    assert tracer.counters["cli.convolve_macs"] == L * (M + N + 1)
+    assert tracer.totals()["cli.run_filter"][2] > 0.0
+
+
 def test_tap_cache_keeps_its_lru_interface():
     """bench/worker.py clears the truncated-transfer tap cache before each
     op and reads its hit and miss counts after."""

@@ -173,6 +173,50 @@ class TestFilterMode:
         expected = apply_discrete_filter(sig, w, 12)
         assert values[12] == pytest.approx(expected, rel=1e-12)
 
+    def test_short_record_has_no_lookahead(self, tmp_path, capsys):
+        """N = 4 forward taps on 3 rows: no row has its lookahead, so every
+        row is flagged, as apply_discrete_filter refuses every index."""
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        samples = [1.0, 2.0, 4.0]
+        write_signal(src, [0.0, 0.1, 0.2], samples)
+        code, _, _ = run(["filter", "--family", "gram", "--nu", "0.5", "--N", "4",
+                          "--M", "2", "--causal", "-i", str(src), "-o", str(dst)], capsys)
+        assert code == 0
+        assert dst.read_text().splitlines()[1:] == [f"{x!r},nan,0" for x in (0.0, 0.1, 0.2)]
+        sig = SampledSignal(x0=0.0, delta=0.1, samples=samples, causal=True)
+        for i in range(3):
+            with pytest.raises(ValidationError, match="lookahead"):
+                apply_discrete_filter(sig, gram_n1_weights(4, 0.5, 0.1, 2), i)
+
+    def test_filtering_a_filter_output_keeps_honest_flags(self, tmp_path, capsys):
+        """A valid = 0 input row is a missing sample: the second pass flags
+        every row whose window meets one, and every flagged-valid value is
+        finite."""
+        src, once, twice = (tmp_path / f for f in ("in.csv", "once.csv", "twice.csv"))
+        x = [0.1 * i for i in range(50)]
+        write_signal(src, x, np.cos(x))
+        argv = ["filter", "--family", "gram", "--nu", "0.5", "--N", "2", "--M", "3"]
+        assert run(argv + ["-i", str(src), "-o", str(once)], capsys)[0] == 0
+        assert run(argv + ["-i", str(once), "-o", str(twice)], capsys)[0] == 0
+        _, first = read_values(once)
+        values, valid = read_values(twice)
+        inside = [i for i in range(50) if 3 <= i < 48 and first[i - 3:i + 3].all()]
+        assert np.flatnonzero(valid).tolist() == inside and len(inside) == 40
+        assert np.isfinite(values[valid == 1]).all() and np.isnan(values[valid == 0]).all()
+
+    def test_non_finite_sample_flags_its_windows(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        samples = np.cos(np.arange(50.0))
+        samples[20] = math.inf
+        write_signal(src, [0.1 * i for i in range(50)], samples)
+        code, _, _ = run(["filter", "--family", "gram", "--nu", "0.5", "--N", "2",
+                          "--M", "3", "-i", str(src), "-o", str(dst)], capsys)
+        assert code == 0
+        values, valid = read_values(dst)
+        expected = [i for i in range(3, 48) if not 18 <= i <= 23]
+        assert np.flatnonzero(valid).tolist() == expected
+        assert np.isfinite(values[valid == 1]).all() and np.isnan(values[valid == 0]).all()
+
     def test_three_column_input_accepted(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         dst = tmp_path / "out.csv"
@@ -235,9 +279,10 @@ SHARED_LAYOUT_DESIGNS = {
 
 
 class TestSharedTapLayout:
-    """The CLI correlates w.taps over the padded signal and
-    apply_discrete_filter dots a slice of the same array, so they agree
-    bit for bit wherever the whole history is there."""
+    """The CLI hands the taps of its family row to filter_signal, which
+    correlates them over the padded signal, and apply_discrete_filter dots
+    a slice of the same array, so they agree bit for bit wherever the
+    whole history is there."""
 
     @pytest.mark.parametrize("causal", [False, True], ids=["noncausal", "causal"])
     @pytest.mark.parametrize("design", sorted(SHARED_LAYOUT_DESIGNS))

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracfilt.errors import ValidationError
@@ -19,6 +19,7 @@ from fracfilt.hahn import (
     apply_discrete_filter,
     default_history,
     export_taps,
+    filter_signal,
     gram_n1_weights,
     hahn_normalization,
     hahn_polynomial,
@@ -367,6 +368,42 @@ class TestApplyDiscreteFilter:
         w = gram_n1_weights(2, 0.5, 0.5, 12)
         with pytest.raises(ValidationError):
             apply_discrete_filter(sig, w, 20)
+
+
+class TestFilterSignal:
+    """filter_signal is the whole-record form of apply_discrete_filter:
+    one validity rule, one set of values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(L=st.integers(1, 40), N=st.integers(0, 7), M=st.integers(0, 49),
+           causal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(L=3, N=4, M=2, causal=True, seed=0)  # lookahead past both ends
+    @example(L=5, N=1, M=9, causal=False, seed=0)  # no row has its history
+    @example(L=5, N=1, M=9, causal=True, seed=0)
+    def test_valid_exactly_where_the_pointwise_call_returns(self, L, N, M, causal, seed):
+        rng = np.random.default_rng(seed)
+        w = FilterWeights(forward=rng.standard_normal(N + 1),
+                          backward=rng.standard_normal(M), prefactor=rng.uniform(0.5, 2.0))
+        samples = rng.standard_normal(L)
+        sig = SampledSignal(x0=0.0, delta=0.1, samples=samples, causal=causal)
+        values, valid = filter_signal(sig, w)
+        assert values.shape == valid.shape == (L,)
+        for i in range(L):
+            try:
+                expected = apply_discrete_filter(sig, w, i)
+            except ValidationError:
+                assert valid[i] == 0 and math.isnan(values[i])
+                continue
+            assert valid[i] == 1
+            if i >= M and w.taps.size > 11:  # full history: the same dot product
+                assert values[i] == expected
+            else:
+                # zero history: the correlation also sums the padding; and
+                # numpy correlates up to 11 taps in its own unrolled order
+                lo = max(i - M, 0)
+                terms = w.taps[M - i + lo:] * samples[lo:i + N + 1]
+                scale = abs(w.prefactor) * np.abs(terms).sum()
+                assert abs(values[i] - expected) <= 1e-15 * scale
 
 
 def export_taps_two_loops(w: FilterWeights) -> str:
