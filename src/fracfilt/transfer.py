@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -107,7 +108,10 @@ class TransferSample:
 
     @property
     def phase(self) -> float:
-        return cmath.phase(self.value)
+        # cmath.phase's value, but an atan2 that underflows (a subnormal
+        # Im H against a normal Re H) gives 0 or a subnormal, not an
+        # OverflowError
+        return math.atan2(self.value.imag, self.value.real)
 
     @property
     def log10_omega(self) -> float:
@@ -502,25 +506,66 @@ def fit_loglog_slope(
 
 def write_sweep_text(samples, destination, metadata: dict | None = None) -> None:
     """Columnar text: omega, Re H, Im H, |H|, arg H, valid flag, with the
-    run metadata as leading comment lines."""
+    run metadata as leading comment lines.  Every number is written as
+    float.__repr__ writes it after float()."""
+    omega, re, im, modulus, phase, valid, _ = _sweep_columns(samples, _text_scalar)
+    if not _all_of_type(valid, bool):
+        valid = list(map(int, valid))
     with _open_text(destination) as stream:
         for key in sorted(metadata or {}):
             stream.write(f"# {key} = {metadata[key]}\n")
         stream.write("# columns: omega re_h im_h abs_h arg_h valid\n")
-        for s in samples:
-            stream.write(
-                f"{s.omega!r} {s.value.real!r} {s.value.imag!r} "
-                f"{s.modulus!r} {s.phase!r} {int(s.valid)}\n"
-            )
+        stream.write(_format_rows("%s %s %s %s %s %d\n", "",
+                                  zip(omega, re, im, modulus, phase, valid), len(valid)))
 
 
 # One sample of write_sweep_json's document, laid out as json.dumps(...,
 # indent=2, sort_keys=True) lays it out; json's indenting encoder is pure
 # Python and takes about twice as long.
 _JSON_SAMPLE = (
-    '    {{\n      "abs": {},\n      "arg": {},\n      "im": {},\n      "note": {},\n'
-    '      "omega": {},\n      "re": {},\n      "valid": {}\n    }}'
+    '    {\n      "abs": %s,\n      "arg": %s,\n      "im": %s,\n      "note": %s,\n'
+    '      "omega": %s,\n      "re": %s,\n      "valid": %s\n    }'
 )
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _sweep_columns(samples, scalar):
+    """omega, Re H, Im H, |H| and arg H of the samples as five lists, then
+    their valid flags and notes as they are.  A numeric list of finite
+    Python floats is returned as it is, for a %s template, which writes
+    such a float as float.__repr__ does; any other list is mapped through
+    scalar, element by element."""
+    value = [s.value for s in samples]
+    if all(map(cmath.isfinite, value)):
+        modulus = list(map(abs, value))
+    else:
+        modulus = [s.modulus for s in samples]
+    re = [v.real for v in value]
+    im = [v.imag for v in value]
+    numeric = ([s.omega for s in samples], re, im, modulus, list(map(math.atan2, im, re)))
+    return (*(c if _finite_floats(c) else list(map(scalar, c)) for c in numeric),
+            [s.valid for s in samples], [s.note for s in samples])
+
+
+def _all_of_type(column, kind) -> bool:
+    return set(map(type, column)) <= {kind}
+
+
+def _finite_floats(column) -> bool:
+    """True if column holds only finite Python floats.  A sum of floats is
+    finite only if every term is; one that overflows merely sends the
+    column through the element-wise route, which writes the same text."""
+    return _all_of_type(column, float) and math.isfinite(sum(column))
+
+
+def _format_rows(row: str, separator: str, rows, count: int) -> str:
+    """count copies of the % template row, joined by separator and filled
+    from the tuples of rows in one % pass."""
+    return separator.join([row] * count) % tuple(chain.from_iterable(rows))
+
+
+def _text_scalar(x) -> str:
+    return float.__repr__(float(x))
 
 
 def _json_scalar(x) -> str:
@@ -540,14 +585,12 @@ def write_sweep_json(samples, destination, metadata: dict) -> None:
     """Same data as the text writer plus per-point notes, as one JSON
     document.  Content is a pure function of inputs: no timestamps, and
     the run id comes in through the metadata."""
-    body = ",\n".join(
-        _JSON_SAMPLE.format(
-            _json_scalar(s.modulus), _json_scalar(s.phase), _json_scalar(s.value.imag),
-            json.dumps(s.note), _json_scalar(s.omega), _json_scalar(s.value.real),
-            _json_scalar(s.valid),
-        )
-        for s in samples
-    )
+    omega, re, im, modulus, phase, valid, note = _sweep_columns(samples, _json_scalar)
+    valid = list(map(_JSON_BOOL.__getitem__ if _all_of_type(valid, bool) else _json_scalar,
+                     valid))
+    note = ['""' if n == "" else json.dumps(n) for n in note]
+    body = _format_rows(_JSON_SAMPLE, ",\n",
+                        zip(modulus, phase, im, note, omega, re, valid), len(note))
     head = json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
     listing = f"[\n{body}\n  ]" if body else "[]"
     with _open_text(destination) as stream:

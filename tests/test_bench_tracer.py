@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps package attributes by name; every name it
 wraps must still exist, or a traced run fails when it installs."""
 
+import dataclasses
 import importlib.util
+import io
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +13,20 @@ import pytest
 from fracfilt import cli
 from fracfilt.fracops import SampledSignal
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load_bench_module("tracing")
 
 
 def test_every_wrapped_attribute_resolves():
@@ -68,6 +77,36 @@ def test_traced_filter_op_keeps_its_layers(tmp_path):
     assert sorted(names[j] for j in under) == ["cli.read", "cli.taps", "cli.write"]
     assert tracer.counters["cli.convolve_macs"] == L * (M + N + 1)
     assert tracer.totals()["cli.run_filter"][2] > 0.0
+
+
+def test_traced_design_op_keeps_its_write_span():
+    """One traced `library` design step: write_sweep_json is one
+    transfer.write_sweep span under the op, and transfer.write_bytes is
+    the length of the document it wrote, so transfer.write_sweep_s and
+    transfer.write_bytes measure the same writer call before and after
+    a change to the writer."""
+    from fracfilt import transfer
+
+    workloads = _load_bench_module("workloads")
+    scale = dataclasses.replace(workloads.FULL, sweep_points=200)
+    op = workloads.design_ops(7, scale, [0])[0]
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = tracer.run_op(0, workloads.run_design, scale, op)
+    finally:
+        tracer.uninstall()
+    a = tracer.arrays()
+    names = [tracer.names[i] for i in a["name_id"]]
+    writes = [j for j, name in enumerate(names) if name == "transfer.write_sweep"]
+    assert len(writes) == 1 and a["parent"][writes[0]] == 0
+    assert tracer.totals()["transfer.write_sweep"][0] == 1
+    doc = io.StringIO()
+    transfer.write_sweep_json(result.truncated, doc,
+                              {"N": op.N, "M": op.M, "nu": op.nu, "delta": op.delta})
+    assert tracer.counters["transfer.write_bytes"] == len(doc.getvalue())
+    assert tracer.counters["transfer.sweep_points"] == 3 * 200
 
 
 def test_tap_cache_keeps_its_lru_interface():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfilt.errors import DomainError, FracfiltError, ValidationError
+from fracfilt.fracops import gl_coefficients
 from fracfilt.hahn import HahnFilterParams, gram_n1_weights, hahn_weights
 from fracfilt.kernels import JacobiKernelParams
 from fracfilt.transfer import (
@@ -105,6 +106,12 @@ class TestTransferSample:
         assert math.isnan(TransferSample(1.0, complex(math.nan, math.nan)).modulus)
         assert math.isnan(TransferSample(1.0, complex(1.0, math.nan)).modulus)
         assert TransferSample(1.0, complex(math.inf, math.nan)).modulus == math.inf
+
+    def test_phase_of_an_underflowing_angle(self):
+        # atan2 of a subnormal Im H over Re H = 2 underflows; cmath.phase
+        # reads that as a range error
+        assert TransferSample(1.0, complex(2.0, 5e-324)).phase == 0.0
+        assert TransferSample(1.0, complex(2.0, -1e-310)).phase == -5e-311
 
     def test_frozen_value_semantics(self):
         s = TransferSample(omega=1.0, value=3.0 + 4.0j)
@@ -343,6 +350,51 @@ class TestGlTransfer:
         # (1 - e^(iw))^1, delta = 1
         w = 1.3
         assert gl_transfer(1.0, 1.0, w) == pytest.approx(1.0 - cmath.exp(1j * w), rel=1e-15)
+
+
+# half unit in the last place of 1.0: the unit roundoff of a double
+_U = np.finfo(float).eps / 2
+
+
+class TestSemigroup:
+    """(1 - z)^mu (1 - z)^nu = (1 - z)^(mu + nu): the backward-difference
+    coefficients of orders mu and nu convolve to those of mu + nu, and the
+    responses multiply.  Orders are multiples of 1/64, so mu, nu and
+    mu + nu are exact doubles and only the evaluation rounds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.integers(-64, 128), nu=st.integers(-64, 128), K=st.integers(1, 300))
+    def test_coefficients_convolve(self, mu, nu, K):
+        mu, nu = mu / 64, nu / 64
+        a, b = gl_coefficients(mu, K), gl_coefficients(nu, K)
+        k = np.arange(K)
+        terms = np.convolve(np.abs(a), np.abs(b))[:K]
+        # c_k is a running product of k factors, each rounded twice: relative
+        # error 2k u.  A product a_j b_(k-j) then carries 2k u + u, and its
+        # (k + 1)-term sum adds k u of the terms' magnitude sum; the
+        # reference at mu + nu carries 2k u of |c_k| <= that sum.
+        bound = (5.0 * k + 2.0) * _U * terms
+        err = np.abs(np.convolve(a, b)[:K] - gl_coefficients(mu + nu, K))
+        assert np.all(err <= bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.integers(-64, 128), nu=st.integers(-64, 128),
+           delta=st.sampled_from([1e-3, 0.1, 1.0]),
+           theta=st.lists(st.floats(1e-4, 3.1), min_size=1, max_size=8))
+    def test_responses_multiply(self, mu, nu, delta, theta):
+        mu, nu = mu / 64, nu / 64
+        theta = np.array(theta)
+        w = theta / delta
+        for h, z in (
+            (lambda o: gl_transfer(o, delta, w), (1.0 - np.exp(1j * theta)) / delta),
+            (lambda o: ideal_transfer(o, w, Convention.WEYL), 1j * w),
+        ):
+            # each power is exp(order * log z): log z off by about 2u (|log z|
+            # + 1), times the order, plus a few u for exp and the products
+            orders = abs(mu) + abs(nu) + abs(mu + nu)
+            bound = 2.0 * _U * (6.0 + 2.0 * orders * (1.0 + np.abs(np.log(z))))
+            whole = h(mu + nu)
+            assert np.all(np.abs(h(mu) * h(nu) - whole) <= bound * np.abs(whole))
 
 
 class TestButterworth:
@@ -792,3 +844,93 @@ class TestWriters:
         buf = io.StringIO()
         write_sweep_json(samples, buf, metadata)
         assert buf.getvalue() == self._json_dumps_route(samples, metadata)
+
+    def test_text_writes_numpy_scalars_as_floats(self):
+        """Every number goes through float.__repr__ of the value as a
+        float, whatever scalar type a hand-built sample holds."""
+        samples = [
+            TransferSample(omega=np.float64(0.1), value=complex(1.0, 2.0)),
+            TransferSample(omega=2.0, value=np.complex128(1.0 - 0.5j), valid=np.bool_(False)),
+            TransferSample(omega=3, value=4, valid=1),
+            TransferSample(omega=np.float64(5.0), value=np.complex128(complex(math.nan, 1.0)),
+                           valid=False),
+        ]
+        buf = io.StringIO()
+        write_sweep_text(samples, buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert rows == [
+            f"0.1 1.0 2.0 {abs(1 + 2j)!r} {cmath.phase(1 + 2j)!r} 1",
+            f"2.0 1.0 -0.5 {abs(1 - 0.5j)!r} {cmath.phase(1 - 0.5j)!r} 0",
+            "3.0 4.0 0.0 4.0 0.0 1",
+            "5.0 nan 1.0 nan nan 0",
+        ]
+
+    def test_text_rows_are_the_samples_reprs(self):
+        """A sweep's rows: each number as its float repr, valid as 0/1."""
+        nan = complex(math.nan, math.nan)
+        samples = self._samples() + [
+            TransferSample(omega=20.0, value=nan, valid=False, note="x"),
+            TransferSample(omega=30.0, value=complex(math.inf, -0.0), valid=False),
+            TransferSample(omega=40.0, value=complex(2.0, 5e-324)),
+        ]
+        buf = io.StringIO()
+        write_sweep_text(samples, buf)
+        assert buf.getvalue().splitlines()[1:] == [
+            f"{s.omega!r} {s.value.real!r} {s.value.imag!r} {s.modulus!r} {s.phase!r} "
+            f"{int(s.valid)}" for s in samples
+        ]
+
+    # value parts: any finite double up to where |H| stays in range
+    # (subnormals and -0.0 included), plus NaN, +-inf and edge cases
+    _parts = st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(
+        TransferSample,
+        omega=st.one_of(_parts, st.integers(1, 10**6), _parts.map(np.float64)),
+        value=st.builds(complex, _parts, _parts),
+        valid=st.one_of(st.booleans(), st.sampled_from([0, 1])),
+        note=st.one_of(st.just(""), st.text(max_size=8),
+                       st.text(st.sampled_from('a "\\\n\té–€'), max_size=8)),
+    ), max_size=40))
+    def test_json_bytes_match_json_dumps_property(self, samples):
+        metadata = {"run_id": "abc123", "nu": 0.5}
+        # a caught libm overflow leaves errno set for the abs() of a NaN
+        # value that follows; the writer must not read it
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)
+        buf = io.StringIO()
+        write_sweep_json(samples, buf, metadata)
+        assert buf.getvalue() == self._json_dumps_route(samples, metadata)
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_json_encoder_runs_per_note_not_per_sample(self, monkeypatch, poisoned):
+        """json.dumps encodes the metadata and each non-empty note; every
+        number and flag of the 1000 samples goes through one % pass."""
+        params = _flat_params(7, 0.5, M=256)
+        cut = 0.5 if poisoned else math.inf
+
+        def closure(w):
+            if np.any(np.asarray(w) > cut):
+                raise DomainError("past the cut")
+            return hahn_truncated_transfer(params, w)
+
+        samples = sweep(closure, FrequencyGrid.logarithmic(1e-3, math.pi, 1000))
+        notes = sum(s.note != "" for s in samples)
+        assert (notes > 0) == poisoned
+        calls = []
+        dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        buf = io.StringIO()
+        write_sweep_json(samples, buf, {"N": 7, "M": 256})
+        assert len(calls) == notes + 1
+        monkeypatch.undo()
+        assert buf.getvalue() == self._json_dumps_route(samples, {"N": 7, "M": 256})
