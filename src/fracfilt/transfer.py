@@ -17,6 +17,8 @@ Every ``*_transfer`` function takes omega as a float, returning a
 per frequency, without a Python loop over frequencies.  An array call
 raises if any of its frequencies is outside the supported range; ``sweep``
 then falls back to one call per frequency and poisons only those points.
+A sweep is a ``Sweep``: the record's columns as arrays, read as a sequence
+of ``TransferSample``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import contextlib
 import enum
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
@@ -55,33 +59,52 @@ class GridSpacing(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing positive frequencies plus their spacing law."""
+    """Strictly increasing positive frequencies plus their spacing law.
+    points is a read-only copy of the array it was given."""
 
     points: np.ndarray
     spacing: GridSpacing
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        if self.points.ndim != 1 or self.points.size == 0:
+        points = _frozen(self.points, float)
+        object.__setattr__(self, "points", points)
+        if points.ndim != 1 or points.size == 0:
             raise ValidationError("grid needs a non-empty 1-d frequency array")
-        if not np.all(self.points > 0.0):
+        if not np.all(points > 0.0):
             raise ValidationError("grid frequencies must be positive")
-        if np.any(np.diff(self.points) <= 0.0):
+        if np.any(np.diff(points) <= 0.0):
             raise ValidationError("grid frequencies must increase strictly")
 
     @classmethod
     def linear(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
         if not -math.inf < lo < hi < math.inf:
             raise ValidationError(f"need finite lo < hi, got {lo:g}, {hi:g}")
-        return cls(np.linspace(lo, hi, count), GridSpacing.LINEAR)
+        return cls(np.linspace(lo, hi, _grid_count(count)), GridSpacing.LINEAR)
 
     @classmethod
     def logarithmic(cls, lo: float, hi: float, count: int) -> "FrequencyGrid":
         if not 0.0 < lo < hi < math.inf:
             raise ValidationError(f"need finite 0 < lo < hi, got {lo:g}, {hi:g}")
-        return cls(
-            np.logspace(math.log10(lo), math.log10(hi), count), GridSpacing.LOGARITHMIC
-        )
+        return cls(np.logspace(math.log10(lo), math.log10(hi), _grid_count(count)),
+                   GridSpacing.LOGARITHMIC)
+
+
+def _grid_count(count) -> int:
+    try:
+        n = operator.index(count)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValidationError(f"grid point count must be a positive integer, got {count!r}")
+    return n
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as an array of dtype, which no array of
+    the caller's can change later."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -103,8 +126,7 @@ class TransferSample:
 
     @property
     def modulus(self) -> float:
-        v = self.value  # abs() of a NaN value can raise on a stale libm errno
-        return math.nan if cmath.isnan(v) and not cmath.isinf(v) else abs(v)
+        return _modulus(self.value)
 
     @property
     def phase(self) -> float:
@@ -128,6 +150,69 @@ class TransferSample:
 # object.__setattr__, costs twice as much for the 1000 samples of a sweep.
 _set_omega, _set_value, _set_valid, _set_note = (
     getattr(TransferSample, f.name).__set__ for f in fields(TransferSample))
+
+
+def _modulus(v) -> float:
+    # abs() of a NaN value can raise on a stale libm errno
+    return math.nan if cmath.isnan(v) and not cmath.isinf(v) else abs(v)
+
+
+class Sweep(Sequence):
+    """The record of one sweep: one TransferSample per grid frequency.
+
+    The record is kept as columns, omega (float), value (complex) and
+    valid (bool) as read-only arrays of its own plus a tuple of notes, and
+    a sample is built only when it is read.  Indexing, iteration, len and
+    `in` work as on a list of the samples; a slice, and + with a list or
+    another Sweep on either side, give a list.  list(sweep(...)) gives a
+    record to append to or assign into.
+
+    Built from the grid frequencies and one value per frequency.  A value
+    that is not finite is flagged invalid, with the note failures gives
+    for its index (the message of a point whose evaluation raised) or
+    else as an overflow."""
+
+    __slots__ = ("_omega", "_value", "_valid", "_notes")
+
+    def __init__(self, omega, value, failures: dict[int, str] | None = None) -> None:
+        self._omega = _frozen(omega, float)
+        self._value = _frozen(value, complex)
+        if self._omega.ndim != 1 or self._value.shape != self._omega.shape:
+            raise ValidationError("a sweep needs one value per frequency of a 1-d grid")
+        self._valid = _frozen(np.isfinite(self._value), bool)
+        failures = failures or {}
+        overflow = "transfer value overflows double precision (not finite)"
+        notes = [""] * self._omega.size
+        for i in np.flatnonzero(~self._valid).tolist():
+            notes[i] = failures.get(i, overflow)
+        self._notes = tuple(notes)
+
+    def _columns(self, key=slice(None)):
+        """omega, value, valid and note of the points key selects, as Python
+        lists, or as Python scalars for an integer key."""
+        return (self._omega[key].tolist(), self._value[key].tolist(),
+                self._valid[key].tolist(), self._notes[key])
+
+    def __len__(self) -> int:
+        return self._omega.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(TransferSample, *self._columns(index)))
+        return TransferSample(*self._columns(operator.index(index)))
+
+    def __iter__(self):
+        return map(TransferSample, *self._columns())
+
+    def __add__(self, other):
+        if isinstance(other, (list, Sweep)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
 
 
 def _real_omega(omega):
@@ -438,8 +523,9 @@ def filter_metrics(params: HahnFilterParams) -> FilterMetrics:
     )
 
 
-def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
-    """Evaluate a transfer closure over the grid.
+def sweep(transfer, grid: FrequencyGrid) -> Sweep:
+    """Evaluate a transfer closure over the grid into a Sweep, a read-only
+    sequence of TransferSample; list(sweep(...)) gives a mutable list.
 
     The closure is first called once with the whole frequency array.  If
     that call raises (a FracfiltError for some point, or the TypeError /
@@ -449,39 +535,28 @@ def sweep(transfer, grid: FrequencyGrid) -> list[TransferSample]:
     problems) poison the individual point, flagged with the reason, rather
     than shortening the output: a sweep always has exactly one sample per
     grid frequency.  On either route a value that came out inf or NaN is
-    kept but flagged invalid, as an overflow."""
+    kept but flagged invalid, as an overflow.  The Sweep holds copies of
+    the frequencies and values, so no later change to an array the
+    closure returned reaches it."""
     try:
         values = np.asarray(transfer(grid.points), dtype=complex)
     except (FracfiltError, TypeError, ValueError):
         values = None
     if values is not None and values.shape == grid.points.shape:
-        # one finiteness test for the whole array; _sample only where it fails
-        finite = np.isfinite(values).tolist()
-        return [TransferSample(w, v) if ok else _sample(w, v)
-                for w, v, ok in zip(grid.points.tolist(), values.tolist(), finite)]
-    out: list[TransferSample] = []
-    for w in grid.points.tolist():
+        return Sweep(grid.points, values)
+    values = []
+    failures = {}
+    for i, w in enumerate(grid.points.tolist()):
         try:
-            out.append(_sample(w, complex(transfer(w))))
+            values.append(complex(transfer(w)))
         except FracfiltError as exc:
-            out.append(
-                TransferSample(
-                    omega=w, value=complex(math.nan, math.nan),
-                    valid=False, note=str(exc),
-                )
-            )
-    return out
-
-
-def _sample(omega: float, value: complex) -> TransferSample:
-    if cmath.isfinite(value):
-        return TransferSample(omega=omega, value=value)
-    return TransferSample(omega=omega, value=value, valid=False,
-                          note="transfer value overflows double precision (not finite)")
+            values.append(complex(math.nan, math.nan))
+            failures[i] = str(exc)
+    return Sweep(grid.points, values, failures)
 
 
 def fit_loglog_slope(
-    samples: list[TransferSample], window: tuple[float, float] | None = None
+    samples: Sequence[TransferSample], window: tuple[float, float] | None = None
 ) -> float:
     """Least-squares slope of log10|H| against log10 omega.
 
@@ -531,20 +606,24 @@ _JSON_BOOL = {True: "true", False: "false"}
 
 def _sweep_columns(samples, scalar):
     """omega, Re H, Im H, |H| and arg H of the samples as five lists, then
-    their valid flags and notes as they are.  A numeric list of finite
-    Python floats is returned as it is, for a %s template, which writes
-    such a float as float.__repr__ does; any other list is mapped through
-    scalar, element by element."""
-    value = [s.value for s in samples]
-    if all(map(cmath.isfinite, value)):
-        modulus = list(map(abs, value))
+    their valid flags and notes as they are.  A Sweep hands over its
+    columns as lists; any other sequence is read sample by sample.  A
+    numeric list of finite Python floats is returned as it is, for a %s
+    template, which writes such a float as float.__repr__ does; any other
+    list is mapped through scalar, element by element."""
+    if isinstance(samples, Sweep):
+        omega, value, valid, note = samples._columns()
     else:
-        modulus = [s.modulus for s in samples]
+        omega = [s.omega for s in samples]
+        value = [s.value for s in samples]
+        valid = [s.valid for s in samples]
+        note = [s.note for s in samples]
+    modulus = list(map(abs if all(map(cmath.isfinite, value)) else _modulus, value))
     re = [v.real for v in value]
     im = [v.imag for v in value]
-    numeric = ([s.omega for s in samples], re, im, modulus, list(map(math.atan2, im, re)))
+    numeric = (omega, re, im, modulus, list(map(math.atan2, im, re)))
     return (*(c if _finite_floats(c) else list(map(scalar, c)) for c in numeric),
-            [s.valid for s in samples], [s.note for s in samples])
+            valid, note)
 
 
 def _all_of_type(column, kind) -> bool:

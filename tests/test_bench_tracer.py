@@ -106,7 +106,23 @@ def test_traced_design_op_keeps_its_write_span():
     transfer.write_sweep_json(result.truncated, doc,
                               {"N": op.N, "M": op.M, "nu": op.nu, "delta": op.delta})
     assert tracer.counters["transfer.write_bytes"] == len(doc.getvalue())
-    assert tracer.counters["transfer.sweep_points"] == 3 * 200
+    # the sweep hook takes len() of and iterates what sweep returns, a Sweep
+    assert all(isinstance(s, transfer.Sweep)
+               for s in (result.exact, result.truncated, result.jacobi))
+    assert tracer.counters["transfer.sweep_points"] == 3 * scale.sweep_points
+    assert tracer.counters["transfer.invalid_points"] == 0
+    # and counts the points a Sweep flags invalid (here the overflows)
+    grid = transfer.FrequencyGrid.logarithmic(1.0, 100.0, 21)
+
+    def order_200(w):
+        return transfer.ideal_transfer(200.0, w, transfer.Convention.WEYL)
+
+    overflows = np.count_nonzero(~np.isfinite(order_200(grid.points)))
+    counts = tracing.Tracer()
+    tracing._result_hooks(counts)["transfer.sweep"]((), transfer.sweep(order_200, grid))
+    assert 0 < overflows < 21
+    assert counts.counters == {"transfer.sweep_points": 21,
+                               "transfer.invalid_points": overflows}
 
 
 def test_tap_cache_keeps_its_lru_interface():

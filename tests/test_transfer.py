@@ -2,6 +2,7 @@
 sweeps, and the sweep writers."""
 
 import cmath
+import collections.abc
 import dataclasses
 import io
 import json
@@ -22,6 +23,7 @@ from fracfilt.transfer import (
     Convention,
     FrequencyGrid,
     GridSpacing,
+    Sweep,
     TransferSample,
     butterworth_fractional_transfer,
     filter_metrics,
@@ -84,6 +86,21 @@ class TestFrequencyGrid:
             FrequencyGrid.linear(lo, hi, 5)
         with pytest.raises(ValidationError):
             FrequencyGrid.logarithmic(lo, hi, 5)
+
+    @pytest.mark.parametrize("count", [-1, 1.5, 0, 3.0, "3", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        for make in (FrequencyGrid.linear, FrequencyGrid.logarithmic):
+            with pytest.raises(ValidationError):
+                make(1.0, 2.0, count)
+        assert FrequencyGrid.linear(1.0, 2.0, np.int64(3)).points.size == 3
+
+    def test_points_are_a_read_only_copy(self):
+        given = np.array([1.0, 2.0, 4.0])
+        grid = FrequencyGrid(points=given, spacing=GridSpacing.LOGARITHMIC)
+        given[0] = 0.5
+        assert grid.points.tolist() == [1.0, 2.0, 4.0]
+        with pytest.raises(ValueError):
+            grid.points[0] = 0.5
 
 
 class TestTransferSample:
@@ -689,6 +706,138 @@ class TestSweepArrayPath:
                 assert abs(a.value - b.value) <= 1e-12 * scale
 
 
+def _object_route(transfer, grid):
+    """The samples of a sweep built one TransferSample per frequency from
+    scalar calls, as sweep built them before it kept columns."""
+    out = []
+    for w in grid.points.tolist():
+        try:
+            v = complex(transfer(w))
+        except FracfiltError as exc:
+            out.append(TransferSample(w, complex(math.nan, math.nan), False, str(exc)))
+            continue
+        ok = cmath.isfinite(v)
+        out.append(TransferSample(w, v, ok, "" if ok else
+                                  "transfer value overflows double precision (not finite)"))
+    return out
+
+
+def _reprs(samples):
+    """Sample reprs, which compare NaN values as equal."""
+    return list(map(repr, samples))
+
+
+class TestSweepRecord:
+    """sweep returns a Sweep: columns read as a sequence of TransferSample."""
+
+    @staticmethod
+    def _transfer(w):
+        return ideal_transfer(200.0, w, Convention.WEYL)   # overflows from omega ~ 35
+
+    def test_sequence_contract(self):
+        grid = FrequencyGrid.logarithmic(1.0, 100.0, 21)
+        record = sweep(self._transfer, grid)
+        expected = _object_route(self._transfer, grid)
+        assert isinstance(record, Sweep) and isinstance(record, collections.abc.Sequence)
+        assert len(record) == 21
+        got = list(record)
+        assert _reprs(got) == _reprs(expected)
+        assert 0 < sum(not s.valid for s in got) < 21
+        assert all(type(s.omega) is float and type(s.value) is complex
+                   and type(s.valid) is bool and type(s.note) is str for s in got)
+        for i in (0, 7, 20, -1, -21, np.int64(3)):
+            assert repr(record[i]) == repr(expected[i])
+        for i in (21, -22):
+            with pytest.raises(IndexError):
+                record[i]
+        with pytest.raises(TypeError):
+            record[1.0]
+        for key in (slice(2, 9), slice(None, None, -3), slice(30, 40), slice(None)):
+            part = record[key]
+            assert type(part) is list and _reprs(part) == _reprs(expected[key])
+        extra = [TransferSample(1e3, 1j)]
+        for combined, reference in ((record + extra, expected + extra),
+                                    (extra + record, extra + expected),
+                                    (record + record, expected + expected)):
+            assert type(combined) is list and _reprs(combined) == _reprs(reference)
+        grown = list(extra)
+        grown += record
+        assert _reprs(grown) == _reprs(extra + expected)
+        alias = record
+        alias += extra
+        assert type(alias) is list and len(alias) == 22 and len(record) == 21
+        with pytest.raises(TypeError):
+            record + (1, 2)
+        assert record[0] in record and expected[0] in record
+        assert TransferSample(0.5, 1j) not in record
+        assert record.index(expected[2]) == 2
+
+    def test_no_array_of_the_caller_reaches_a_finished_sweep(self):
+        points = np.array([1.0, 2.0, 4.0])
+        grid = FrequencyGrid(points=points, spacing=GridSpacing.LOGARITHMIC)
+        returned = []
+
+        def closure(w):
+            out = np.asarray(w) * 1j     # a complex array sweep need not convert
+            returned.append(out)
+            return out
+
+        record = sweep(closure, grid)
+        points[:] = 8.0
+        returned[0][:] = 0.0
+        assert [(s.omega, s.value) for s in record] == [(1.0, 1j), (2.0, 2j), (4.0, 4j)]
+        assert grid.points.tolist() == [1.0, 2.0, 4.0]
+        for column in (record._omega, record._value, record._valid):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    _parts = st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_columns_and_objects_write_the_same_bytes(self, data):
+        """An array sweep with overflow points, or a per-point sweep with
+        poisoned notes: the record reads as the object route's samples, and
+        both writers write the same bytes for it as for list(record)."""
+        n = data.draw(st.integers(1, 30), label="points")
+        grid = FrequencyGrid.logarithmic(0.1, 100.0, n)
+        values = data.draw(st.lists(st.builds(complex, self._parts, self._parts),
+                                    min_size=n, max_size=n), label="values")
+        failing = data.draw(st.one_of(st.none(), st.dictionaries(
+            st.integers(0, n - 1), st.text(st.sampled_from('ab "\\\n\té–'), max_size=6))),
+            label="failures")
+        index = {w: i for i, w in enumerate(grid.points.tolist())}
+
+        def transfer(w):
+            if np.ndim(w):
+                if failing is None:       # array-capable: one call for the grid
+                    return np.array([values[index[x]] for x in w.tolist()])
+                raise TypeError("one frequency at a time")   # the per-point route
+            if index[w] in (failing or {}):
+                raise DomainError(failing[index[w]])
+            return values[index[w]]
+
+        record = sweep(transfer, grid)
+        objects = list(record)
+        assert _reprs(objects) == _reprs(_object_route(transfer, grid))
+        metadata = {"run_id": "abc123", "n": n}
+        for writer in (write_sweep_json, write_sweep_text):
+            # a caught libm overflow leaves errno set for the abs() of a NaN
+            # value that follows; neither route may read it
+            with pytest.raises(OverflowError):
+                math.exp(1000.0)
+            columns, samples = io.StringIO(), io.StringIO()
+            writer(record, columns, metadata)
+            writer(objects, samples, metadata)
+            assert columns.getvalue() == samples.getvalue()
+        json_doc = io.StringIO()
+        write_sweep_json(record, json_doc, metadata)
+        assert json_doc.getvalue() == TestWriters._json_dumps_route(objects, metadata)
+
+
 def _mp_log10_modulus(family, omega):
     """log10|H| at order 200 by mpmath for the designs of
     TestLargeOrderOverflow."""
@@ -934,3 +1083,23 @@ class TestWriters:
         assert len(calls) == notes + 1
         monkeypatch.undo()
         assert buf.getvalue() == self._json_dumps_route(samples, {"N": 7, "M": 256})
+
+    def test_array_sweep_and_writers_build_no_samples(self, monkeypatch):
+        """A 1000-point array sweep and both writers read the columns: not
+        one TransferSample is built until a sample is read."""
+        built = []
+        init = TransferSample.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransferSample, "__init__", counting)
+        params = _flat_params(7, 0.5, M=256)
+        samples = sweep(lambda w: hahn_truncated_transfer(params, w),
+                        FrequencyGrid.logarithmic(1e-3, math.pi, 1000))
+        write_sweep_json(samples, io.StringIO(), {"N": 7, "M": 256})
+        write_sweep_text(samples, io.StringIO())
+        assert built == []
+        samples[-1]
+        assert len(built) == 1
