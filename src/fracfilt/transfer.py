@@ -66,12 +66,15 @@ class FrequencyGrid:
     spacing: GridSpacing
 
     def __post_init__(self) -> None:
-        points = _frozen(self.points, float)
+        try:
+            points = _frozen(self.points, float)
+        except (TypeError, ValueError):
+            raise ValidationError("grid frequencies must be real numbers") from None
         object.__setattr__(self, "points", points)
         if points.ndim != 1 or points.size == 0:
             raise ValidationError("grid needs a non-empty 1-d frequency array")
-        if not np.all(points > 0.0):
-            raise ValidationError("grid frequencies must be positive")
+        if not np.all((points > 0.0) & (points < math.inf)):
+            raise ValidationError("grid frequencies must be positive and finite")
         if np.any(np.diff(points) <= 0.0):
             raise ValidationError("grid frequencies must increase strictly")
 
@@ -89,6 +92,13 @@ class FrequencyGrid:
                    GridSpacing.LOGARITHMIC)
 
 
+# A grid point costs 8 bytes in the grid and 33 in a Sweep, but about 340
+# in write_sweep_text's lists and document and 830 in write_sweep_json's:
+# 10**7 points is some 8 GB in the JSON writer.  Past this count a grid is
+# refused rather than left to end in a MemoryError.
+_MAX_GRID_POINTS = 10**7
+
+
 def _grid_count(count) -> int:
     try:
         n = operator.index(count)
@@ -96,6 +106,8 @@ def _grid_count(count) -> int:
         n = 0
     if n < 1:
         raise ValidationError(f"grid point count must be a positive integer, got {count!r}")
+    if n > _MAX_GRID_POINTS:
+        raise ValidationError(f"grid point count {n} is above the cap of {_MAX_GRID_POINTS}")
     return n
 
 
@@ -110,7 +122,11 @@ def _frozen(values, dtype) -> np.ndarray:
 @dataclass(frozen=True, slots=True, init=False)
 class TransferSample:
     """One evaluated grid point.  Points where the transfer evaluation
-    failed stay in the record with valid=False and the reason in note."""
+    failed stay in the record with valid=False and the reason in note.
+    The fields are typed when the sample is built: omega is stored as
+    float(omega), value as complex(value) and valid as bool(valid), so a
+    sample holds what a Sweep's columns hold, whatever scalars it was
+    given; note is kept as given."""
 
     omega: float
     value: complex
@@ -119,9 +135,9 @@ class TransferSample:
 
     def __init__(self, omega: float, value: complex, valid: bool = True,
                  note: str = "") -> None:
-        _set_omega(self, omega)
-        _set_value(self, value)
-        _set_valid(self, valid)
+        _set_omega(self, float(omega))
+        _set_value(self, complex(value))
+        _set_valid(self, bool(valid))
         _set_note(self, note)
 
     @property
@@ -146,8 +162,9 @@ class TransferSample:
 
 
 # The slots' own setters.  Frozen guards only __setattr__, and the
-# generated __init__ of a frozen dataclass, which goes through
-# object.__setattr__, costs twice as much for the 1000 samples of a sweep.
+# generated __init__ of a frozen dataclass goes through object.__setattr__,
+# which costs twice as much.  Reading a Sweep sample by sample builds one
+# sample per point: bench/workloads.check_design builds 54,000 per library op.
 _set_omega, _set_value, _set_valid, _set_note = (
     getattr(TransferSample, f.name).__set__ for f in fields(TransferSample))
 
@@ -581,11 +598,10 @@ def fit_loglog_slope(
 
 def write_sweep_text(samples, destination, metadata: dict | None = None) -> None:
     """Columnar text: omega, Re H, Im H, |H|, arg H, valid flag, with the
-    run metadata as leading comment lines.  Every number is written as
-    float.__repr__ writes it after float()."""
-    omega, re, im, modulus, phase, valid, _ = _sweep_columns(samples, _text_scalar)
-    if not _all_of_type(valid, bool):
-        valid = list(map(int, valid))
+    run metadata as leading comment lines.  Every number is a Python float,
+    which %s writes as float.__repr__ does, nan and inf included; valid is
+    written as 1 or 0."""
+    omega, re, im, modulus, phase, valid, _ = _sweep_columns(samples)
     with _open_text(destination) as stream:
         for key in sorted(metadata or {}):
             stream.write(f"# {key} = {metadata[key]}\n")
@@ -604,13 +620,11 @@ _JSON_SAMPLE = (
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _sweep_columns(samples, scalar):
-    """omega, Re H, Im H, |H| and arg H of the samples as five lists, then
-    their valid flags and notes as they are.  A Sweep hands over its
-    columns as lists; any other sequence is read sample by sample.  A
-    numeric list of finite Python floats is returned as it is, for a %s
-    template, which writes such a float as float.__repr__ does; any other
-    list is mapped through scalar, element by element."""
+def _sweep_columns(samples):
+    """omega, Re H, Im H, |H| and arg H of the samples as five lists of
+    Python floats, then their valid flags (bools) and notes.  A Sweep hands
+    over its columns as lists; any other sequence is read sample by
+    sample, whose fields TransferSample has already typed."""
     if isinstance(samples, Sweep):
         omega, value, valid, note = samples._columns()
     else:
@@ -621,20 +635,7 @@ def _sweep_columns(samples, scalar):
     modulus = list(map(abs if all(map(cmath.isfinite, value)) else _modulus, value))
     re = [v.real for v in value]
     im = [v.imag for v in value]
-    numeric = (omega, re, im, modulus, list(map(math.atan2, im, re)))
-    return (*(c if _finite_floats(c) else list(map(scalar, c)) for c in numeric),
-            valid, note)
-
-
-def _all_of_type(column, kind) -> bool:
-    return set(map(type, column)) <= {kind}
-
-
-def _finite_floats(column) -> bool:
-    """True if column holds only finite Python floats.  A sum of floats is
-    finite only if every term is; one that overflows merely sends the
-    column through the element-wise route, which writes the same text."""
-    return _all_of_type(column, float) and math.isfinite(sum(column))
+    return omega, re, im, modulus, list(map(math.atan2, im, re)), valid, note
 
 
 def _format_rows(row: str, separator: str, rows, count: int) -> str:
@@ -643,18 +644,8 @@ def _format_rows(row: str, separator: str, rows, count: int) -> str:
     return separator.join([row] * count) % tuple(chain.from_iterable(rows))
 
 
-def _text_scalar(x) -> str:
-    return float.__repr__(float(x))
-
-
-def _json_scalar(x) -> str:
-    """x as json.dumps writes it; bools and floats skip json's encoder."""
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if type(x) is not float:
-        return json.dumps(x)
+def _json_float(x: float) -> str:
+    """The float x as json.dumps writes it: NaN and the infinities by name."""
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else ("Infinity" if x > 0.0 else "-Infinity")
@@ -663,10 +654,13 @@ def _json_scalar(x) -> str:
 def write_sweep_json(samples, destination, metadata: dict) -> None:
     """Same data as the text writer plus per-point notes, as one JSON
     document.  Content is a pure function of inputs: no timestamps, and
-    the run id comes in through the metadata."""
-    omega, re, im, modulus, phase, valid, note = _sweep_columns(samples, _json_scalar)
-    valid = list(map(_JSON_BOOL.__getitem__ if _all_of_type(valid, bool) else _json_scalar,
-                     valid))
+    the run id comes in through the metadata.  A float column whose sum is
+    finite holds only finite floats, which %s writes as json.dumps does;
+    any other column is written through _json_float."""
+    *numeric, valid, note = _sweep_columns(samples)
+    omega, re, im, modulus, phase = (
+        c if math.isfinite(sum(c)) else list(map(_json_float, c)) for c in numeric)
+    valid = list(map(_JSON_BOOL.__getitem__, valid))
     note = ['""' if n == "" else json.dumps(n) for n in note]
     body = _format_rows(_JSON_SAMPLE, ",\n",
                         zip(modulus, phase, im, note, omega, re, valid), len(note))

@@ -84,7 +84,8 @@ def test_traced_design_op_keeps_its_write_span():
     transfer.write_sweep span under the op, and transfer.write_bytes is
     the length of the document it wrote, so transfer.write_sweep_s and
     transfer.write_bytes measure the same writer call before and after
-    a change to the writer."""
+    a change to the writer.  The op's result passes the benchmark's own
+    check_design, which reads the Sweep and TransferSample contract."""
     from fracfilt import transfer
 
     workloads = _load_bench_module("workloads")
@@ -111,6 +112,8 @@ def test_traced_design_op_keeps_its_write_span():
                for s in (result.exact, result.truncated, result.jacobi))
     assert tracer.counters["transfer.sweep_points"] == 3 * scale.sweep_points
     assert tracer.counters["transfer.invalid_points"] == 0
+    # raises CheckFailed; it reads each sample's fields and adds two sweeps
+    workloads.check_design(op, result)
     # and counts the points a Sweep flags invalid (here the overflows)
     grid = transfer.FrequencyGrid.logarithmic(1.0, 100.0, 21)
 

@@ -393,6 +393,19 @@ class TestSweepMode:
         assert code == 1
         assert "LO:HI:POINTS" in err
 
+    def test_grid_count_above_the_cap(self, tmp_path, capsys):
+        """A count no memory could hold exits 1; it used to end in a bare
+        MemoryError traceback."""
+        code, _, err = run(
+            ["sweep", "--family", "ideal", "--nu", "0.5",
+             "--grid", "1:2:1000000000000:lin", "-o", str(tmp_path / "x.txt")],
+            capsys,
+        )
+        assert code == 1
+        assert err == ("fracfilt: error: grid point count 1000000000000 is above "
+                       "the cap of 10000000\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 def _preset_family_args(name, flags):
     """(family, grid, {label: flags}) that the README table gives for a

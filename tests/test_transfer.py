@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import struct
 import warnings
 
 import mpmath
@@ -38,6 +39,8 @@ from fracfilt.transfer import (
     truncated_dc_gain,
     write_sweep_json,
     write_sweep_text,
+    _grid_count,
+    _MAX_GRID_POINTS,
 )
 from fracfilt.hahn import (
     hahn_normalization,
@@ -94,6 +97,21 @@ class TestFrequencyGrid:
                 make(1.0, 2.0, count)
         assert FrequencyGrid.linear(1.0, 2.0, np.int64(3)).points.size == 3
 
+    def test_count_is_capped(self):
+        # refused before any array is allocated
+        for count in (_MAX_GRID_POINTS + 1, 10**12):
+            for make in (FrequencyGrid.linear, FrequencyGrid.logarithmic):
+                with pytest.raises(ValidationError, match="above the cap"):
+                    make(1.0, 2.0, count)
+        assert _grid_count(_MAX_GRID_POINTS) == _MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("points", [
+        [1.0, math.inf], [math.inf], [1.0, math.nan], ["a", "b"], [1.0, "2x"],
+        [1.0, 2j], [object()]])
+    def test_points_must_be_finite_real_numbers(self, points):
+        with pytest.raises(ValidationError):
+            FrequencyGrid(points=points, spacing=GridSpacing.LINEAR)
+
     def test_points_are_a_read_only_copy(self):
         given = np.array([1.0, 2.0, 4.0])
         grid = FrequencyGrid(points=given, spacing=GridSpacing.LOGARITHMIC)
@@ -129,6 +147,25 @@ class TestTransferSample:
         # reads that as a range error
         assert TransferSample(1.0, complex(2.0, 5e-324)).phase == 0.0
         assert TransferSample(1.0, complex(2.0, -1e-310)).phase == -5e-311
+
+    def test_fields_are_typed(self):
+        """Whatever scalars a sample is built from, it holds a float, a
+        complex and a bool, as a Sweep's columns do, with the same values."""
+        cases = [
+            ((3, 4, 1), (3.0, 4 + 0j, True)),
+            ((np.float64(0.1), np.complex128(1.0 - 0.5j), np.bool_(False)),
+             (0.1, 1.0 - 0.5j, False)),
+            ((2.5, np.float64(-0.0), 0), (2.5, complex(-0.0, 0.0), False)),
+            ((np.float64(math.inf), np.complex128(complex(math.nan, 5e-324)), np.bool_(True)),
+             (math.inf, complex(math.nan, 5e-324), True)),
+        ]
+        for args, (omega, value, valid) in cases:
+            s = TransferSample(*args, note="n")
+            assert (type(s.omega), type(s.value), type(s.valid)) == (float, complex, bool)
+            assert struct.pack("<d", s.omega) == struct.pack("<d", omega)
+            assert (struct.pack("<2d", s.value.real, s.value.imag)
+                    == struct.pack("<2d", value.real, value.imag))
+            assert s.valid is valid and s.note == "n"
 
     def test_frozen_value_semantics(self):
         s = TransferSample(omega=1.0, value=3.0 + 4.0j)
