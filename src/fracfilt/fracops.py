@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .hahn import FilterWeights, apply_discrete_filter
+from .kernels import _level_nodes, _tanh_sinh
 from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
-
-# rl_integral_numeric refuses to return a value whose quadrature error
-# estimate exceeds this relative level.
-RL_QUAD_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,34 +122,24 @@ def weyl_power(alpha: float, mu: float, x: float) -> float:
 def rl_integral_numeric(f, mu: float, x: float, lower: float) -> float:
     """(1/Gamma(mu)) * integral of f(y) (x-y)^(mu-1) over [lower, x].
 
-    The endpoint singularity of the weight is removed by substituting
-    y = x - t^(1/mu), which turns weight times Jacobian into a constant;
-    an ordinary adaptive quadrature then handles the smooth remainder.
+    Runs on apply_kernel's tanh-sinh levels, whose nodes carry x - y at
+    full precision for the weight's endpoint power.  Both limits must be
+    finite, and f smooth on [lower, x]: a kink or a jump there raises
+    ConvergenceError.
     """
     if not mu > 0.0:
         raise ValidationError(f"integral order must be positive, got mu = {mu:g}")
-    if x < lower:
-        raise ValidationError(f"upper limit {x:g} below lower limit {lower:g}")
+    if not -math.inf < lower <= x < math.inf:
+        raise ValidationError(f"need finite limits lower <= x, got {lower:g} and {x:g}")
     if x == lower:
         return 0.0
-    span = (x - lower) ** mu
-    inv_mu = 1.0 / mu
 
-    def regular(t: float) -> float:
-        return f(x - t ** inv_mu)
+    def level_values(level):
+        y, d_lo, d_hi = _level_nodes(lower, x, level)      # d_hi = x - y
+        fy = np.array([f(yi) for yi in y.tolist()], dtype=float)
+        return fy * d_hi ** (mu - 1.0), d_lo, d_hi
 
-    from scipy import integrate
-
-    value, err = integrate.quad(regular, 0.0, span, limit=200)
-    norm = mu * gamma(mu)
-    value /= norm
-    err /= norm
-    if err > RL_QUAD_RTOL * max(abs(value), 1e-30) and err > 1e-13:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.2e} exceeds the relative "
-            f"target {RL_QUAD_RTOL:g} (value {value:.6e})"
-        )
-    return value
+    return _tanh_sinh(level_values, lower, x, (0.0, mu - 1.0)) / gamma(mu)
 
 
 def gl_coefficients(nu: float, count: int) -> np.ndarray:

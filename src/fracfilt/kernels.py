@@ -10,10 +10,11 @@ classical orthogonal-polynomial derivative approximation.
 
 Kernel functions here return the pure shape; apply_kernel owns the
 delta**-nu scaling and the tail truncation bookkeeping.  jacobi_kernel
-takes a float or a whole array of y, and apply_kernel integrates with a
-nested tanh-sinh rule over whole node arrays, one kernel call per level
-and no scipy.  The nodes and k values are cached per kernel shape and chunk
-(<= 14 MB), so only a new shape pays for the 2F1s; a new x or delta, for f.
+takes a float or a whole array of y, and apply_kernel integrates with the
+package's one quadrature rule, nested tanh-sinh over whole node arrays
+with one kernel call per level.  The nodes and k values are cached per
+kernel shape and chunk (<= 14 MB), so only a new shape pays for the 2F1s;
+a new x or delta, for f.
 """
 
 from __future__ import annotations
@@ -143,10 +144,8 @@ def _kernel_piece(params: JacobiKernelParams, u, v, interior: bool):
     fractional = rgamma(-nu) != 0.0
     if interior:
         q = n + b - nu                  # exponent of 1 + y at y = -1
-        coeff = gamma(2.0 * n + a + b + 2.0) / (
-            2.0 ** (2.0 * n - nu + a + b + 1.0)
-            * gamma(n + a + 1.0) * gamma(n - nu + b + 1.0)
-        )
+        coeff = gamma_ratio((2.0 * n + a + b + 2.0,), (n + a + 1.0, n - nu + b + 1.0)) / (
+            2.0 ** (2.0 * n - nu + a + b + 1.0))
         if fractional and p > 0.0:
             # Euler: the (1 - y)^p in front cancels the 2F1's divergence
             return coeff * 2.0 ** p * u ** q * hyp2f1(
@@ -204,7 +203,7 @@ def confluent_inverse_ft(a: float, b: float, c: float, y: float) -> float:
     if y == 0.0:
         raise DomainError("branch junction y = 0; evaluate nearby and take the limit")
     if y > 0.0:
-        coeff = SQRT_TWO_PI * gamma(c) / (gamma(a) * gamma(1.0 - a - b + c))
+        coeff = SQRT_TWO_PI * gamma_ratio((c,), (a, 1.0 - a - b + c))
         return (
             coeff * y ** (a - b) * (1.0 - y) ** (c - a - b)
             * hyp2f1(1.0 - b, c - b, c + 1.0 - a - b, 1.0 - y)
@@ -244,16 +243,22 @@ def _tanh_sinh_level(level: int):
     return lower, upper, weight
 
 
+def _level_nodes(lo: float, hi: float, level: int):
+    """Nodes y of one _tanh_sinh_level on [lo, hi] and their distances
+    d_lo, d_hi to both ends, each to full relative precision."""
+    lower, upper, _ = _tanh_sinh_level(level)
+    half = 0.5 * (hi - lo)
+    d_lo, d_hi = half * lower, half * upper
+    return np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi), d_lo, d_hi
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _level_table(alpha, beta, n, nu, lo, hi, level: int, with_edge: bool):
     """The x-, f- and delta-free half of one _integrate level on [lo, hi]:
-    nodes y, their distances d_lo, d_hi to both ends, k(y), the weights
-    and, at level 0 with with_edge, k(hi).  The arrays are read-only."""
-    lower, upper, weight = _tanh_sinh_level(level)
-    half = 0.5 * (hi - lo)
-    d_lo, d_hi = half * lower, half * upper
+    nodes y, their distances d_lo, d_hi to both ends, k(y) and, at level 0
+    with with_edge, k(hi).  The arrays are read-only."""
+    y, d_lo, d_hi = _level_nodes(lo, hi, level)
     near_lo = d_lo <= d_hi
-    y = np.where(near_lo, lo + d_lo, hi - d_hi)
     u = np.where(near_lo, (1.0 + lo) + d_lo, (1.0 + hi) - d_hi)    # 1 + y
     v = np.where(near_lo, (1.0 - lo) - d_lo, (1.0 - hi) + d_hi)    # 1 - y
     params = JacobiKernelParams(alpha, beta, n, nu, 1.0)
@@ -263,33 +268,29 @@ def _level_table(alpha, beta, n, nu, lo, hi, level: int, with_edge: bool):
         k, edge = k[:-1], float(k[-1])
     else:
         k, edge = jacobi_kernel(params, y, _gaps=(u, v)), None
-    for a in (y, d_lo, d_hi, k, weight):
+    for a in (y, d_lo, d_hi, k):
         a.flags.writeable = False
-    return y, d_lo, d_hi, k, weight, edge
+    return y, d_lo, d_hi, k, edge
 
 
-def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
-               powers: tuple[float, float], with_edge: bool):
-    """integral of f(x + delta*y) k(y) over [lo, hi] by nested tanh-sinh
-    levels, stopping once two agree to max(1e-13, 1e-10 |I|).
+def _tanh_sinh(level_values, lo: float, hi: float, powers: tuple[float, float]) -> float:
+    """integral over [lo, hi] by nested tanh-sinh levels, stopping once
+    two agree to max(1e-13, 1e-10 |I|).  level_values(level) gives the
+    integrand at that level's _level_nodes and the nodes' distances d_lo,
+    d_hi to both ends, so the integrand's powers never see a rounded node.
 
-    `powers` are the exponents e of the kernel's behaviour at lo and hi.
-    Nodes carry their distances d to both ends, so those powers never see
-    a rounded y.  At an end with e < 0 the integrand goes like c d^e, and
-    for e near -1 a visible share of its mass lies closer to the end than
-    any node: there the rule integrates the integrand minus c d^e, and
-    c d^e is added in closed form, with c read off the outermost node.
-    With with_edge also returns k(hi), taken in level 0's kernel call."""
-    shape = (float(params.alpha), float(params.beta), params.n, float(params.nu))
+    `powers` are the exponents e of the integrand's behaviour at lo and
+    hi.  At an end with e < 0 the integrand goes like c d^e, and for e
+    near -1 a visible share of its mass lies closer to the end than any
+    node: there the rule integrates the integrand minus c d^e, and c d^e
+    is added in closed form, with c read off the outermost node."""
     half = 0.5 * (hi - lo)
     e_lo, e_hi = powers
     estimate = None
     for level in range(_TS_LEVELS):
-        y, d_lo, d_hi, k, weight, k_hi = _level_table(*shape, lo, hi, level, with_edge)
-        fk = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float) * k
+        fk, d_lo, d_hi = level_values(level)
         if level == 0:
-            edge = k_hi
-            c_lo, c_hi = (fk[i] / d[i] ** e if e < 0.0 else 0.0
+            c_lo, c_hi = (float(fk[i] / d[i] ** e) if e < 0.0 else 0.0
                           for i, d, e in ((0, d_lo, e_lo), (-1, d_hi, e_hi)))
             power_part = sum(c * (hi - lo) ** (1.0 + e) / (1.0 + e)
                              for c, e in ((c_lo, e_lo), (c_hi, e_hi)))
@@ -297,18 +298,32 @@ def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
             fk -= c_lo * d_lo ** e_lo
         if c_hi:
             fk -= c_hi * d_hi ** e_hi
-        part = half * float(weight @ fk)
+        part = half * float(_tanh_sinh_level(level)[2] @ fk)
         if estimate is not None:
             refined = 0.5 * estimate + part
             total = refined + power_part
             if abs(refined - estimate) <= max(1e-13, 1e-10 * abs(total)):
-                return total, edge
+                return total
             part = refined
         estimate = part
     raise ConvergenceError(
-        f"kernel integral over [{lo:g}, {hi:g}] did not settle within "
+        f"integral over [{lo:g}, {hi:g}] did not settle within "
         f"{_TS_LEVELS} tanh-sinh levels"
     )
+
+
+def _integrate(f, params: JacobiKernelParams, x: float, lo: float, hi: float,
+               powers: tuple[float, float], with_edge: bool):
+    """_tanh_sinh of f(x + delta*y) k(y) over [lo, hi] on the cached
+    kernel tables, and k(hi) with with_edge (else None)."""
+    table = (float(params.alpha), float(params.beta), params.n, float(params.nu), lo, hi)
+
+    def level_values(level):
+        y, d_lo, d_hi, k, _ = _level_table(*table, level, with_edge)
+        fy = np.array([f(x + params.delta * yi) for yi in y.tolist()], dtype=float)
+        return fy * k, d_lo, d_hi
+
+    return _tanh_sinh(level_values, lo, hi, powers), _level_table(*table, 0, with_edge)[-1]
 
 
 def apply_kernel(
@@ -397,37 +412,29 @@ def orthogonal_derivative(
     coeff * delta^-n * integral f(x + delta*y) (1-y)^a (1+y)^b P_n(y) dy.
 
     Exact on polynomials up to degree n for any delta, O(delta^2) on
-    smooth f for the symmetric weight.  Gauss quadrature nodes are doubled
-    until the value settles.
+    smooth f for the symmetric weight.  The integral runs on apply_kernel's
+    tanh-sinh levels, with P_n from its three-term recurrence, so it
+    checks jacobi_kernel's integer-order form by a second route.  f must
+    be smooth on [x - delta, x + delta]: a kink or a jump there raises
+    ConvergenceError.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"derivative order must be a positive integer, got {n!r}")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValidationError(
-            f"weight exponents must exceed -1, got alpha = {alpha:g}, beta = {beta:g}"
-        )
-    if not delta > 0.0:
-        raise ValidationError(f"step must be positive, got {delta:g}")
-    from scipy.special import eval_jacobi, roots_jacobi
+    JacobiKernelParams(alpha, beta, n, n, delta)    # the same design at nu = n
+    coeff = gamma(n + 1.0) / jacobi_normalization(alpha, beta, n)
 
-    coeff = (
-        gamma(2.0 * n + alpha + beta + 2.0) * gamma(n + 1.0)
-        / (2.0 ** (n + alpha + beta + 1.0) * gamma(n + alpha + 1.0) * gamma(n + beta + 1.0))
-    )
+    def level_values(level):
+        y, d_lo, d_hi = _level_nodes(-1.0, 1.0, level)    # d_lo = 1 + y, d_hi = 1 - y
+        fy = np.array([f(x + delta * yi) for yi in y.tolist()], dtype=float)
+        return fy * d_hi ** alpha * d_lo ** beta * _jacobi_p(n, alpha, beta, y), d_lo, d_hi
 
-    def estimate(nodes: int) -> float:
-        y, w = roots_jacobi(nodes, alpha, beta)
-        vals = [f(x + delta * yi) * eval_jacobi(n, alpha, beta, yi) for yi in y]
-        return coeff * float(w @ vals) / delta ** n
+    return coeff * _tanh_sinh(level_values, -1.0, 1.0, (beta, alpha)) / delta ** n
 
-    nodes = n + 8
-    best = estimate(nodes)
-    while nodes <= 600:
-        nodes *= 2
-        refined = estimate(nodes)
-        if abs(refined - best) <= max(1e-13, 1e-11 * abs(refined)):
-            return refined
-        best = refined
-    raise ConvergenceError(
-        f"quadrature failed to settle for the order-{n} derivative at x = {x:g}"
-    )
+
+def _jacobi_p(n: int, a: float, b: float, y):
+    """P_n^(a,b)(y) by the three-term recurrence (DLMF 18.9.2), n >= 1."""
+    prev, p = 1.0, 0.5 * ((a + b + 2.0) * y + (a - b))
+    for k in range(1, n):
+        s = 2.0 * k + a + b
+        prev, p = p, ((s + 1.0) * ((s + 2.0) * s * y + a * a - b * b) * p
+                      - 2.0 * (k + a) * (k + b) * (s + 2.0) * prev) / (
+                          2.0 * (k + 1) * (k + a + b + 1.0) * s)
+    return p

@@ -66,10 +66,7 @@ class FrequencyGrid:
     spacing: GridSpacing
 
     def __post_init__(self) -> None:
-        try:
-            points = _frozen(self.points, float)
-        except (TypeError, ValueError):
-            raise ValidationError("grid frequencies must be real numbers") from None
+        points = _frozen(self.points, float)
         object.__setattr__(self, "points", points)
         if points.ndim != 1 or points.size == 0:
             raise ValidationError("grid needs a non-empty 1-d frequency array")
@@ -113,8 +110,14 @@ def _grid_count(count) -> int:
 
 def _frozen(values, dtype) -> np.ndarray:
     """A read-only copy of values as an array of dtype, which no array of
-    the caller's can change later."""
-    out = np.array(values, dtype=dtype)
+    the caller's can change later.  Values that are not numbers of that
+    kind raise ValidationError; complex ones are not cut to real parts."""
+    if dtype is float and np.iscomplexobj(values):
+        raise ValidationError("values must be real numbers, not complex")
+    try:
+        out = np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValidationError(f"values must be {dtype.__name__} numbers") from None
     out.flags.writeable = False
     return out
 

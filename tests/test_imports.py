@@ -1,9 +1,9 @@
-"""The package and its CLI start without scipy.
+"""The package, its CLI and its quadratures run without scipy.
 
-Only the scipy-backed quadrature routines (the reference operators) use
-scipy, and they import it on first use; apply_kernel runs
-its own tanh-sinh rule.  Each case runs in a fresh interpreter, since the
-test process itself has usually imported scipy already.
+numpy is the only runtime dependency: apply_kernel, orthogonal_derivative
+and rl_integral_numeric all run on one tanh-sinh rule.  Each case runs in
+a fresh interpreter, since the test process itself has usually imported
+scipy already (some test oracles use it).
 """
 
 import json
@@ -77,7 +77,7 @@ class TestStartsWithoutScipy:
         assert out == {"result": 0, "scipy": []}
 
 
-class TestQuadratureLoadsScipy:
+class TestQuadratureWithoutScipy:
     def test_apply_kernel(self):
         # the kernel integral is numpy-only: no scipy module at all
         out = fresh_run(
@@ -98,4 +98,13 @@ class TestQuadratureLoadsScipy:
         )
         # I^mu 1 = x^mu / Gamma(mu + 1)
         assert out["result"] == pytest.approx(1.0 / math.gamma(1.5), rel=1e-12)
-        assert "scipy.integrate" in out["scipy"]
+        assert out["scipy"] == []
+
+    def test_orthogonal_derivative(self):
+        out = fresh_run(
+            "from fracfilt import orthogonal_derivative\n"
+            "result = orthogonal_derivative(lambda x: 3 * x * x - x, 2, 0.5, -0.3, 1.7, 0.4)\n"
+        )
+        # exact on polynomials of degree n
+        assert out["result"] == pytest.approx(6.0, rel=1e-12)
+        assert out["scipy"] == []

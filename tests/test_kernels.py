@@ -258,6 +258,34 @@ class TestConfluentInverseFt:
             confluent_inverse_ft(5.0, 1.5, 6.0, 0.5)   # b >= c - a
 
 
+class TestCoefficientsPastGammaOverflow:
+    """Finite Gamma ratios whose factors overflow: gamma(172) in the
+    interior coefficient at n = 85, gamma(200) in the inverse transform at
+    c = 200.  Both used to raise DomainError."""
+
+    def test_jacobi_kernel_interior(self):
+        # near y = -1, where the interior 2F1 does not cancel
+        n, y = 85, -0.9
+        with mpmath.workdps(40):
+            nu, my = mpmath.mpf(0.5), mpmath.mpf(y)
+            ref = (mpmath.gamma(2 * n + 2) / (2 ** (2 * n - nu + 1) * mpmath.gamma(n + 1)
+                                              * mpmath.gamma(n - nu + 1))
+                   * (1 - my * my) ** (n - nu)
+                   * mpmath.hyp2f1(-nu, 2 * n - nu + 1, n - nu + 1, (1 + my) / 2))
+        got = jacobi_kernel(JacobiKernelParams(0.0, 0.0, n, 0.5, 1.0), y)
+        assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_confluent_inverse_ft(self):
+        a, b, c, y = 2.5, 1.5, 200.0, 0.3
+        with mpmath.workdps(40):
+            a, b, c, my = (mpmath.mpf(v) for v in (a, b, c, y))
+            ref = (mpmath.sqrt(2 * mpmath.pi) * mpmath.gamma(c)
+                   / (mpmath.gamma(a) * mpmath.gamma(1 - a - b + c))
+                   * my ** (a - b) * (1 - my) ** (c - a - b)
+                   * mpmath.hyp2f1(1 - b, c - b, c + 1 - a - b, 1 - my))
+        assert confluent_inverse_ft(2.5, 1.5, 200.0, y) == pytest.approx(float(ref), rel=1e-12)
+
+
 class TestLaguerreKernel:
     def test_integer_order_closed_form(self):
         # nu = n = 1, alpha = 0: e^(-y) (1 - y)

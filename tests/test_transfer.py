@@ -112,6 +112,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValidationError):
             FrequencyGrid(points=points, spacing=GridSpacing.LINEAR)
 
+    def test_complex_array_is_refused_not_cut_to_its_real_part(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                FrequencyGrid(points=np.array([1 + 1j, 2 + 0j]), spacing=GridSpacing.LINEAR)
+
     def test_points_are_a_read_only_copy(self):
         given = np.array([1.0, 2.0, 4.0])
         grid = FrequencyGrid(points=given, spacing=GridSpacing.LOGARITHMIC)
@@ -766,6 +772,13 @@ def _reprs(samples):
 
 class TestSweepRecord:
     """sweep returns a Sweep: columns read as a sequence of TransferSample."""
+
+    def test_complex_omega_is_refused_not_cut_to_its_real_part(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega in (np.array([1 + 1j, 2 + 0j]), [1.0, 2j]):
+                with pytest.raises(ValidationError):
+                    Sweep(omega, np.ones(2, dtype=complex))
 
     @staticmethod
     def _transfer(w):
