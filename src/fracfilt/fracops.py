@@ -53,6 +53,8 @@ class SampledSignal:
     causal=True declares f identically zero before x0, which is what makes
     backward fractional sums finite; with causal=False the available
     history is exactly the stored samples and nothing more is assumed.
+    samples is a read-only copy of the values given, so the caller's array
+    stays theirs and nothing computed from a signal can go stale.
     """
 
     x0: float
@@ -61,7 +63,9 @@ class SampledSignal:
     causal: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.array(self.samples, dtype=float)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if not self.delta > 0.0:
             raise ValidationError(f"sample step must be positive, got {self.delta:g}")
         if self.samples.ndim != 1 or self.samples.size == 0:

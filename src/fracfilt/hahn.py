@@ -16,6 +16,7 @@ individual factor overflows and integer orders come out exact.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,26 @@ class HahnFilterParams:
             raise ValidationError(f"history length M must be a positive integer, got {self.M!r}")
 
 
+class _RowTable:
+    """filter_signal's raw rows of one weights on the last signal it met.
+
+    state is one tuple (weakref to the signal, apply_discrete_filter calls
+    on it, rows or None) that is only ever replaced whole, so a reader
+    never pairs one signal with another's rows: threads racing on one
+    weights can lose a count or build the rows twice, but never return a
+    wrong bit.  A pickle or deep copy starts empty, as a weakref does not
+    pickle.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self) -> None:
+        self.state = (None, 0, None)
+
+    def __reduce__(self):
+        return _RowTable, ()
+
+
 @dataclass(frozen=True, eq=False)
 class FilterWeights:
     """Tap set of a two-sided FIR differentiator.
@@ -86,12 +107,14 @@ class FilterWeights:
     backward[m-1] (m = 1..M, offset -m) are read-only views into it, made
     once here, so the two layouts cannot drift apart.  prefactor is the
     common gain (carries the delta**-nu scaling) applied to the whole sum.
+    _table holds apply_discrete_filter's whole-record rows, if any.
     """
 
     forward: np.ndarray
     backward: np.ndarray
     prefactor: float
     taps: np.ndarray = field(init=False, repr=False)
+    _table: _RowTable = field(init=False, repr=False, default_factory=_RowTable)
 
     def __post_init__(self) -> None:
         forward = np.asarray(self.forward, dtype=float)
@@ -176,10 +199,6 @@ def j2_weight(p: HahnFilterParams, m: int) -> float:
     """
     if not 0 <= m <= p.N:
         raise ValidationError(f"forward taps run over m = 0..N = {p.N}, got {m}")
-    # lead = (beta+1)_n / (-N)_n as one running product
-    lead = 1.0
-    for i in range(p.n):
-        lead *= (p.beta + 1.0 + i) / (i - p.N)
     last = p.N - p.n
     a = pochhammer_ratios(p.alpha + p.n + 1.0, last).tolist()
     b = pochhammer_ratios(p.beta + p.n + 1.0, last).tolist()
@@ -187,18 +206,35 @@ def j2_weight(p: HahnFilterParams, m: int) -> float:
     acc = 0.0
     for i in range(min(p.N - m, last) + 1):
         acc += a[last - i] * b[i] * c[p.N - m - i]
-    return lead * acc
+    return _j2_lead(p) * acc
+
+
+def _j2_lead(p: HahnFilterParams) -> float:
+    # (beta+1)_n / (-N)_n as one running product
+    lead = 1.0
+    for i in range(p.n):
+        lead *= (p.beta + 1.0 + i) / (i - p.N)
+    return lead
 
 
 def hahn_weights(p: HahnFilterParams) -> FilterWeights:
     """Full tap set for the filter parameters.
 
-    Backward taps share one running Pochhammer ratio so the batch costs
-    O(M*N) instead of O(M^2), and are built as arrays over m with the
-    same per-tap operation order as j1_weight's running product;
-    j1_weight/j2_weight remain the per-tap reference path.
+    Forward taps are j2_weight's sums for every m at once: its three
+    Pochhammer tables built once, and each m's terms added in j2_weight's
+    order (i ascending).  Backward taps share one running Pochhammer
+    ratio so the batch costs O(M*N) instead of O(M^2), and are built as
+    arrays over m with the same per-tap operation order as j1_weight's
+    running product; j1_weight/j2_weight remain the per-tap reference path.
     """
-    forward = np.array([j2_weight(p, m) for m in range(p.N + 1)])
+    last = p.N - p.n
+    a = pochhammer_ratios(p.alpha + p.n + 1.0, last)
+    b = pochhammer_ratios(p.beta + p.n + 1.0, last)
+    c = pochhammer_ratios(-p.nu, p.N)
+    acc = np.zeros(p.N + 1)
+    for i in range(last + 1):           # term i reaches m = 0..N-i
+        acc[:p.N - i + 1] += a[last - i] * b[i] * c[p.N - i::-1]
+    forward = _j2_lead(p) * acc
     m = np.arange(1, p.M + 1)
     ratio = pochhammer_ratios(-p.nu, p.n + p.M)[p.n + 1:]
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
@@ -256,21 +292,61 @@ def gram_n1_weights(N: int, nu: float, delta: float, M: int) -> FilterWeights:
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 
 
+def _raw_rows(samples: np.ndarray, taps: np.ndarray, n_bwd: int, start: int,
+              stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the correlation of the taps (offset order
+    -M..N) with the samples padded by M zeros in front and N behind,
+    prefactor excluded: row i sums taps[k] * padded[i + k].
+
+    A row's bits depend on its window and the taps alone: numpy correlates
+    up to 11 taps in its own unrolled order and more by one dot product
+    per row, so a row correlated alone equals that row of the whole record.
+    """
+    n_fwd = taps.size - n_bwd - 1
+    lo, hi = start - n_bwd, stop + n_fwd          # padded positions read
+    window = samples[max(lo, 0):hi]
+    if lo < 0 or hi > samples.size:
+        window = np.concatenate([np.zeros(max(-lo, 0)), window,
+                                 np.zeros(max(hi - samples.size, 0))])
+    # np.correlate slides the taps without reversing them, so taps in
+    # offset order -M..N line up with padded[i..i+M+N]
+    return np.correlate(window, taps, mode="valid")
+
+
+def _table_rows(signal, weights: FilterWeights):
+    """The pair's whole-record raw rows, or None while its calls have
+    cost less than computing them (see apply_discrete_filter)."""
+    table = weights._table
+    ref, calls, rows = table.state
+    if ref is None or ref() is not signal:    # first call, or another signal
+        ref, calls, rows = weakref.ref(signal), 0, None
+    if rows is None:
+        calls += 1
+        if calls >= signal.samples.size:
+            rows = _raw_rows(signal.samples, weights.taps, weights.backward.size,
+                             0, signal.samples.size)
+        table.state = (ref, calls, rows)
+    return rows
+
+
 def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> float:
-    """Evaluate the filter at one sample position.
+    """Evaluate the filter at one sample position: row at_index of
+    filter_signal, bit for bit, wherever that row is valid.
 
     Needs N samples of lookahead unconditionally; missing backward history
     is treated as zero only for causal signals, otherwise it is an error.
-    The value is one dot product of the taps that meet samples against
-    the contiguous window of those samples.
+    A call correlates the taps with its own window of the zero-padded
+    record.  The call that brings one (signal, weights) pair to as many
+    calls as the signal has samples, when the pair's calls have cost one
+    whole-record correlation, runs that correlation instead; the weights
+    keep its raw rows (one float per sample, freed with the weights) and
+    later calls on the pair read them.  So no call sequence does more
+    than about twice the multiply-adds of the cheaper route.  The rows
+    stay right because a SampledSignal's samples are a read-only copy.
     """
     samples = signal.samples
-    taps = weights.taps
     n_bwd = weights.backward.size
-    end = at_index + taps.size - n_bwd       # one past the last sample read
-    if n_bwd <= at_index and end <= samples.size:    # full history, in range
-        return weights.prefactor * float(taps.dot(samples[at_index - n_bwd:end]))
-    n_fwd = taps.size - n_bwd - 1
+    n_fwd = weights.taps.size - n_bwd - 1
     if not 0 <= at_index < samples.size:
         raise ValidationError(
             f"index {at_index} outside the signal (length {samples.size})"
@@ -280,13 +356,16 @@ def apply_discrete_filter(signal, weights: FilterWeights, at_index: int) -> floa
             f"filter needs {n_fwd} samples of lookahead at index {at_index}, "
             f"signal ends at {samples.size - 1}"
         )
-    if not signal.causal:  # past the checks above, at_index < n_bwd
+    if at_index < n_bwd and not signal.causal:
         raise ValidationError(
             f"filter needs {n_bwd} samples of history at index {at_index}; "
             "only a causal signal may substitute zeros"
         )
-    window = samples[:at_index + n_fwd + 1]
-    return weights.prefactor * float(taps[n_bwd - at_index:] @ window)
+    rows = _table_rows(signal, weights)
+    if rows is None:
+        return weights.prefactor * float(
+            _raw_rows(samples, weights.taps, n_bwd, at_index, at_index + 1)[0])
+    return weights.prefactor * float(rows[at_index])
 
 
 def filter_signal(signal, weights: FilterWeights):
@@ -299,10 +378,7 @@ def filter_signal(signal, weights: FilterWeights):
     """
     L, M = len(signal), weights.backward.size
     N = weights.taps.size - M - 1
-    padded = np.concatenate([np.zeros(M), signal.samples, np.zeros(N)])
-    # np.correlate slides the taps without reversing them, so taps in
-    # offset order -M..N line up with padded[i..i+M+N]
-    values = weights.prefactor * np.correlate(padded, weights.taps, mode="valid")
+    values = weights.prefactor * _raw_rows(signal.samples, weights.taps, M, 0, L)
     valid = np.isfinite(values)
     valid[:0 if signal.causal else M] = False  # no history
     valid[max(L - N, 0):] = False  # no lookahead

@@ -238,8 +238,9 @@ class Sweep(Sequence):
 def _real_omega(omega):
     """omega as a float array, or as a numpy float for a scalar omega, so
     that a one-frequency call does its arithmetic on numpy scalars rather
-    than on 0-d arrays, which cost about 1 us per operation."""
-    return np.asarray(omega, dtype=float)[()]
+    than on 0-d arrays, which cost about 1 us per operation.  np.float64
+    of an array is a float array, and of a scalar a numpy float."""
+    return np.float64(omega)
 
 
 def _result(w, value) -> complex | np.ndarray:
@@ -258,12 +259,17 @@ def _axis_power(w, nu: float, sign: float):
     Only a zero or an infinite w, or nu outside [0, 1) (where |w|^nu can
     leave double range), raises a floating-point flag here."""
     zero = w == 0.0
-    edge = np.count_nonzero(zero | (abs(w) == math.inf))
+    flags = zero | (abs(w) == math.inf)
+    # bool() reads a 0-d mask in a twentieth of np.count_nonzero's time
+    edge = np.count_nonzero(flags) if w.ndim else bool(flags)
     if edge and nu < 0.0 and np.count_nonzero(zero):
         raise DomainError("0**nu diverges for nu < 0")
     with _quiet(edge or not 0.0 <= nu < 1.0):
         out = np.exp(nu * np.log(sign * 1j * w))
     return np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out) if edge else out
+
+
+_NO_OP = contextlib.nullcontext()
 
 
 def _quiet(on):
@@ -272,8 +278,7 @@ def _quiet(on):
     where a flag can be raised: a power of order nu outside [0, 1) can
     leave double range, and inf times a factor that underflowed to 0 is
     NaN.  sweep flags those inf/NaN points invalid."""
-    return np.errstate(divide="ignore", invalid="ignore", over="ignore") if on \
-        else contextlib.nullcontext()
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore") if on else _NO_OP
 
 
 def ideal_transfer(
@@ -304,6 +309,14 @@ def jacobi_transfer(
     return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
+@lru_cache(maxsize=None)
+def _odd_double_factorial(n: int) -> float:
+    """(2n+1)!!, exact and rounded once; 301!! (n = 150) already overflows."""
+    if n >= 150:
+        raise DomainError(f"(2n+1)!! overflows double precision at n = {n}")
+    return float(math.prod(range(1, 2 * n + 2, 2)))
+
+
 def legendre_transfer(
     n: int, nu: float, delta: float, omega: float | np.ndarray,
     convention: Convention = Convention.WEYL,
@@ -316,11 +329,7 @@ def legendre_transfer(
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"step must be positive and finite, got {delta:g}")
-    try:
-        # (2n+1)!!, exact and rounded once; 301!! (n = 150) already overflows
-        coeff = float(math.prod(range(1, min(2 * n, 300) + 2, 2)))
-    except OverflowError:
-        raise DomainError(f"(2n+1)!! overflows double precision at n = {n}") from None
+    coeff = _odd_double_factorial(n)
     w = _real_omega(omega)
     power = _axis_power(w, nu, 1.0)
     ratio = spherical_jn_ratio(n, w * delta)

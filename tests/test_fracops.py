@@ -16,6 +16,7 @@ from fracfilt.fracops import (
     rl_power,
     weyl_power,
 )
+from fracfilt.hahn import apply_discrete_filter, gram_n1_weights
 from fracfilt.specfun import gamma
 
 # D^(1/2) x^2 at x = 1: Gamma(3)/Gamma(5/2)
@@ -55,6 +56,20 @@ class TestSampledSignal:
     def test_samples_coerced_to_float(self):
         sig = SampledSignal(x0=0.0, delta=1.0, samples=[1, 2, 3])
         assert sig.samples.dtype == np.float64
+
+    def test_samples_are_a_read_only_copy(self):
+        """Changing the caller's array reaches neither the signal nor a
+        filter value, before or after the pair's row table is built."""
+        values = np.linspace(0.0, 1.0, 30)
+        sig = SampledSignal(x0=0.0, delta=0.1, samples=values, causal=True)
+        w = gram_n1_weights(2, 0.5, 0.1, 4)
+        before = [apply_discrete_filter(sig, w, i) for i in range(28)]
+        values[:] = 99.0
+        assert sig.samples[0] == 0.0 and sig.samples[-1] == 1.0
+        for _ in range(2):
+            assert [apply_discrete_filter(sig, w, i) for i in range(28)] == before
+        with pytest.raises(ValueError):
+            sig.samples[0] = 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,14 @@
 """Discrete filter weights: the polynomial family behind them, both tap
 construction routes, and filter application."""
 
+import copy
 import io
 import math
+import pickle
+import sys
+import threading
+import time
+import weakref
 
 import mpmath
 import numpy as np
@@ -10,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracfilt import hahn
 from fracfilt.errors import ValidationError
-from fracfilt.fracops import SampledSignal, gl_coefficients, gl_weights
+from fracfilt.fracops import SampledSignal, gl_coefficients, gl_difference, gl_weights
 from fracfilt.hahn import (
     FilterWeights,
     HahnFilterParams,
@@ -26,6 +33,7 @@ from fracfilt.hahn import (
     hahn_weight_function,
     hahn_weights,
     j1_weight,
+    j2_weight,
     _j1_lead,
     _j1_series,
 )
@@ -262,6 +270,35 @@ class TestVectorisedTaps:
         p = HahnFilterParams(alpha=alpha, beta=beta, N=N, n=n, nu=nu, delta=0.5, M=M)
         assert np.array_equal(hahn_weights(p).backward, hahn_backward_loop(p))
 
+    @pytest.mark.parametrize("alpha,beta,N,n,nu", [
+        *((0.0, 0.0, N, 1, nu) for N, _, nu in TAP_SHAPES),
+        (0.5, 0.5, 16, 1, 0.5), (0.3, 1.1, 6, 2, 1.3), (0.3, 1.1, 5, 2, 2.0),
+        (2.0, 0.0, 9, 3, 2.5), (0.0, 0.0, 4, 4, 3.2), (0.0, 0.0, 200, 171, 0.5),
+    ])
+    def test_hahn_forward_is_bit_identical_to_the_per_tap_route(self, alpha, beta, N, n, nu):
+        p = HahnFilterParams(alpha=alpha, beta=beta, N=N, n=n, nu=nu, delta=0.5, M=8)
+        per_tap = np.array([j2_weight(p, m) for m in range(N + 1)])
+        # bits, so that a sign of zero counts too
+        assert np.array_equal(hahn_weights(p).forward.view(np.int64), per_tap.view(np.int64))
+
+    def test_hahn_builds_its_pochhammer_tables_once(self, monkeypatch):
+        """Forward taps share three tables, so the count of table builds
+        does not grow with the window."""
+        calls = []
+
+        def counted(a, n):
+            calls.append(n)
+            return pochhammer_ratios(a, n)
+
+        monkeypatch.setattr(hahn, "pochhammer_ratios", counted)
+        counts = []
+        for N in (4, 64):
+            calls.clear()
+            hahn_weights(HahnFilterParams(alpha=0.5, beta=0.5, N=N, n=1, nu=0.5,
+                                          delta=0.1, M=16))
+            counts.append(len(calls))
+        assert counts == [5, 5]  # three forward tables, two for the backward taps
+
     @settings(max_examples=40, deadline=None)
     @given(
         N=st.integers(1, 20),
@@ -395,15 +432,7 @@ class TestFilterSignal:
                 assert valid[i] == 0 and math.isnan(values[i])
                 continue
             assert valid[i] == 1
-            if i >= M and w.taps.size > 11:  # full history: the same dot product
-                assert values[i] == expected
-            else:
-                # zero history: the correlation also sums the padding; and
-                # numpy correlates up to 11 taps in its own unrolled order
-                lo = max(i - M, 0)
-                terms = w.taps[M - i + lo:] * samples[lo:i + N + 1]
-                scale = abs(w.prefactor) * np.abs(terms).sum()
-                assert abs(values[i] - expected) <= 1e-15 * scale
+            assert values[i] == expected
 
 
 def export_taps_two_loops(w: FilterWeights) -> str:
@@ -416,6 +445,165 @@ def export_taps_two_loops(w: FilterWeights) -> str:
     for m in range(w.forward.size):
         lines.append(f"{m} {float(w.prefactor * w.forward[m])!r}\n")
     return "".join(lines)
+
+
+def raw_rows(sig: SampledSignal, w: FilterWeights) -> np.ndarray:
+    """Every row of filter_signal before masking: the prefactor times one
+    correlation of the taps with the zero-padded record."""
+    M, N = w.backward.size, w.forward.size - 1
+    padded = np.concatenate([np.zeros(M), sig.samples, np.zeros(N)])
+    return w.prefactor * np.correlate(padded, w.taps, mode="valid")
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def callable_rows(sig: SampledSignal, w: FilterWeights) -> np.ndarray:
+    """Indices where apply_discrete_filter returns a value."""
+    M, N = w.backward.size, w.forward.size - 1
+    return np.arange(0 if sig.causal else M, len(sig) - N)
+
+
+class TestRowLaw:
+    """apply_discrete_filter(signal, w, i) is row i of filter_signal, bit
+    for bit, whether it correlates its own window or reads the table the
+    pair's calls paid for."""
+
+    @staticmethod
+    def signal(rng, causal):
+        samples = rng.standard_normal(int(rng.integers(1, 41)))
+        for _ in range(int(rng.integers(0, 3))):   # non-finite samples
+            samples[rng.integers(samples.size)] = rng.choice([math.nan, math.inf, -math.inf])
+        return SampledSignal(x0=0.0, delta=0.1, samples=samples, causal=causal)
+
+    @staticmethod
+    def check_calls(rng, sig, w, count):
+        rows = callable_rows(sig, w)
+        if rows.size == 0:
+            return
+        expected = raw_rows(sig, w)
+        for i in rng.choice(rows, size=count):
+            assert same_bits(apply_discrete_filter(sig, w, int(i)), expected[i])
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.integers(0, 7), M=st.integers(0, 49), causal=st.booleans(),
+           other_causal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_every_call_is_the_raw_row(self, N, M, causal, other_causal, seed):
+        rng = np.random.default_rng(seed)
+        w = FilterWeights(forward=rng.standard_normal(N + 1),
+                          backward=rng.standard_normal(M), prefactor=rng.uniform(0.5, 2.0))
+        first, second = self.signal(rng, causal), self.signal(rng, other_causal)
+        values, valid = filter_signal(first, w)
+        raw = raw_rows(first, w)
+        assert np.array_equal(values[valid == 1], raw[valid == 1])
+        # past break-even on the first signal, then on the second, then
+        # back on the first, whose count starts again
+        for sig in (first, second, first):
+            self.check_calls(rng, sig, w, 2 * len(sig) + 1)
+
+
+class TestRowTable:
+    """The whole-record rows are computed once, after the pair's calls
+    have cost as much, and live and die with the weights."""
+
+    @pytest.fixture
+    def record_calls(self, monkeypatch):
+        spans = []
+
+        def recorded(samples, taps, n_bwd, start, stop):
+            spans.append(stop - start)
+            return raw(samples, taps, n_bwd, start, stop)
+
+        raw = hahn._raw_rows
+        monkeypatch.setattr(hahn, "_raw_rows", recorded)
+        return spans
+
+    @staticmethod
+    def pair(L=30):
+        rng = np.random.default_rng(11)
+        sig = SampledSignal(x0=0.0, delta=0.1, samples=rng.standard_normal(L), causal=True)
+        return sig, gram_n1_weights(3, 0.5, 0.1, 20)
+
+    def test_one_whole_record_correlation_at_break_even(self, record_calls):
+        sig, w = self.pair()
+        L = len(sig)
+        for k in range(4 * L):
+            apply_discrete_filter(sig, w, k % (L - 3))
+            whole = record_calls.count(L)
+            assert whole == (0 if k + 1 < L else 1)
+        assert len(record_calls) == L  # L - 1 single rows, then the record
+
+    def test_gl_difference_loops_never_tabulate(self, record_calls):
+        sig, _ = self.pair()
+        for k in range(3 * len(sig)):
+            at = k % len(sig)
+            gl_difference(sig, 0.5, at, at + 1)
+        assert record_calls and set(record_calls) == {1}
+
+    def test_table_is_freed_with_the_weights(self):
+        sig, w = self.pair()
+        for k in range(len(sig)):
+            apply_discrete_filter(sig, w, k % 10)
+        rows = w._table.state[2]
+        assert rows is not None and rows.size == len(sig)
+        weights_ref, rows_ref = weakref.ref(w), weakref.ref(rows)
+        del w, rows
+        assert weights_ref() is None and rows_ref() is None
+
+    def test_table_does_not_keep_the_signal(self):
+        sig, w = self.pair()
+        for k in range(len(sig)):
+            apply_discrete_filter(sig, w, k % 10)
+        signal_ref = weakref.ref(sig)
+        del sig
+        assert signal_ref() is None
+
+    def test_used_weights_pickle_and_copy(self):
+        sig, w = self.pair()
+        for k in range(len(sig)):
+            apply_discrete_filter(sig, w, k % 10)
+        expected = raw_rows(sig, w)
+        for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert np.array_equal(clone.taps, w.taps) and clone.prefactor == w.prefactor
+            for i in range(len(sig) - 3):
+                assert apply_discrete_filter(sig, clone, i) == expected[i]
+
+    def test_threads_sharing_weights_get_their_own_rows(self):
+        """Threads race on one weights with two signals: the table is built
+        and dropped under them, and each call still returns its own
+        signal's row."""
+        rng = np.random.default_rng(5)
+        w = gram_n1_weights(2, 0.5, 0.1, 8)
+        a, b = (SampledSignal(x0=0.0, delta=0.1, samples=rng.standard_normal(L), causal=True)
+                for L in (40, 60))
+        expected = {id(a): raw_rows(a, w), id(b): raw_rows(b, w)}
+        for i in range(len(a)):             # start with a's table built
+            apply_discrete_filter(a, w, i % 30)
+        wrong = []
+
+        def worker(sig, calls, pause):
+            rows = expected[id(sig)]
+            for j in range(calls):
+                i = (j * 7) % (len(sig) - 2)
+                if apply_discrete_filter(sig, w, i) != rows[i]:
+                    wrong.append((len(sig), i))
+                time.sleep(pause)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # b's calls come seldom enough that a's count reaches 40 between them
+            threads = [threading.Thread(target=worker, args=(a, 1500, 0.0)) for _ in range(6)]
+            threads += [threading.Thread(target=worker, args=(b, 20, 2e-3)) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestExportTaps:
