@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one integer
+test its validators share.
 
 Numeric routines raise subclasses of :class:`FracfiltError` so callers can
 catch one family of failures without swallowing programming errors.  The
@@ -6,6 +7,9 @@ classes double-inherit from the builtin they most resemble (``ValueError``
 for bad inputs, ``RuntimeError`` for algorithmic failures) so existing
 ``except ValueError`` style code keeps working.
 """
+
+import math
+import operator
 
 
 class FracfiltError(Exception):
@@ -30,3 +34,14 @@ class ConvergenceError(FracfiltError, RuntimeError):
 
 class GrowthError(FracfiltError, RuntimeError):
     """An integrand grew instead of decaying, so the tail cannot be bounded."""
+
+
+def as_index(value):
+    """value as a Python int when operator.index takes it (an int, a bool
+    or a numpy integer), else NaN.  NaN compares false with everything, so
+    a validator that raises unless its range test holds (``if not n >=
+    1``) refuses a float, a string or None with its own message."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return math.nan

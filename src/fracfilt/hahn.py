@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import _open_text
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_index
 from .specfun import gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
 
 MAX_DEFAULT_HISTORY = 4096
@@ -60,22 +60,25 @@ class HahnFilterParams:
                 f"weight exponents must exceed -1, got alpha = {self.alpha:g}, "
                 f"beta = {self.beta:g}"
             )
-        if not (isinstance(self.N, int) and self.N >= 1):
+        N, n = as_index(self.N), as_index(self.n)
+        if not N >= 1:
             raise ValidationError(f"window degree N must be a positive integer, got {self.N!r}")
-        if not (isinstance(self.n, int) and 1 <= self.n <= self.N):
+        if not 1 <= n <= N:
             raise ValidationError(
-                f"derivative order n must be an integer in 1..N = {self.N}, got {self.n!r}"
+                f"derivative order n must be an integer in 1..N = {N}, got {self.n!r}"
             )
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n", n)
         if self.nu > self.n:
             raise ValidationError(
                 f"fractional order nu = {self.nu:g} exceeds the scheme order n = {self.n}"
             )
         if not self.delta > 0.0:
             raise ValidationError(f"sample step must be positive, got {self.delta:g}")
-        if self.M is None:
-            object.__setattr__(self, "M", default_history(self.N, self.n, self.nu))
-        if not (isinstance(self.M, int) and self.M >= 1):
+        M = default_history(N, n, self.nu) if self.M is None else as_index(self.M)
+        if not M >= 1:
             raise ValidationError(f"history length M must be a positive integer, got {self.M!r}")
+        object.__setattr__(self, "M", M)
 
 
 class _RowTable:
@@ -254,10 +257,12 @@ def gram_n1_weights(N: int, nu: float, delta: float, M: int) -> FilterWeights:
     two-term Gamma-ratio expression, so building even long histories is
     cheap and the round-off floor stays near machine precision.
     """
-    if not (isinstance(N, int) and N >= 1):
+    fwd, bwd = as_index(N), as_index(M)
+    if not fwd >= 1:
         raise ValidationError(f"window degree N must be a positive integer, got {N!r}")
-    if not (isinstance(M, int) and M >= 1):
+    if not bwd >= 1:
         raise ValidationError(f"history length M must be a positive integer, got {M!r}")
+    N, M = fwd, bwd
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(
             f"the first-order scheme covers orders 0 <= nu <= 1, got {nu:g}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GrowthError, ValidationError
+from .errors import ConvergenceError, DomainError, GrowthError, ValidationError, as_index
 from .specfun import SQRT_TWO_PI, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
 
 # apply_kernel extends the tail until its remainder bound drops below
@@ -59,8 +59,10 @@ class JacobiKernelParams:
                 f"weight exponents must exceed -1, got alpha = {self.alpha:g}, "
                 f"beta = {self.beta:g}"
             )
-        if not (isinstance(self.n, int) and self.n >= 1):
+        n = as_index(self.n)
+        if not n >= 1:
             raise ValidationError(f"scheme order n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if self.nu > self.n:
             raise ValidationError(
                 f"fractional order nu = {self.nu:g} exceeds the scheme order n = {self.n}"
@@ -168,8 +170,10 @@ def laguerre_kernel(alpha: float, n: int, nu: float, y: float) -> float:
     G(n-nu+alpha+1) for y >= 0 (exponential weight family)."""
     if not alpha > -1.0:
         raise ValidationError(f"weight exponent must exceed -1, got alpha = {alpha:g}")
-    if not (isinstance(n, int) and n >= 1):
+    order = as_index(n)
+    if not order >= 1:
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
+    n = order
     if nu > n:
         raise ValidationError(f"fractional order nu = {nu:g} exceeds n = {n}")
     if y < 0.0:

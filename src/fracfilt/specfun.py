@@ -1,18 +1,20 @@
 """Special functions tuned for the fractional filter formulas.
 
-Everything in this module is written for the parameter ranges that actually
-occur in the kernel and filter expressions: moderate polynomial orders, real
-parameters, hypergeometric arguments on or near the unit interval, and purely
-imaginary confluent arguments of moderate modulus.  The routines favour
-predictable failure over silent inaccuracy: each one raises a specific
-exception from :mod:`fracfilt.errors` when asked to leave its supported
-region, instead of returning a number that merely looks plausible.
+Each routine covers the region the package reaches and no more: real
+parameters, moderate polynomial orders, and three hypergeometric shapes.
+``hyp2f1`` takes the Jacobi kernel's real arguments in (0, 1] and the Hahn
+transfer's terminating series on the unit circle, ``kummer_m`` the Jacobi
+transfer's M(a; c; 2i omega delta) and the Laguerre kernel's real y >= 0,
+and ``complex_power`` the backward-difference bases, whose real part is
+never negative.  The routines favour predictable failure over silent
+inaccuracy: each one raises a specific exception from
+:mod:`fracfilt.errors` when asked to leave its supported region, instead
+of returning a number that merely looks plausible.
 
 Parameters are scalar.  The argument may also be a numpy array where a
-sweep or a quadrature needs it: ``complex_power``, the spherical Bessel
-functions, every real branch of ``hyp2f1`` (each point down the branch
-its scalar would take) and its ``|z| <= 0.95`` branch for non-real
-arrays, every branch of ``kummer_m``, and array top/bottom parameters of
+sweep or a quadrature needs it: ``complex_power``, ``spherical_jn_ratio``,
+every branch of ``hyp2f1`` and of ``kummer_m`` (each point down the branch
+its scalar would take), and array top/bottom parameters of
 ``hyp3f2_unit`` (the termination index comes from a scalar top
 parameter).  An array argument gives an array of the same shape,
 evaluated pointwise with the same stopping rule; a scalar gives a
@@ -22,7 +24,6 @@ scalar.  An array call raises if any of its points would.
 from __future__ import annotations
 
 import contextlib
-import enum
 import functools
 import math
 
@@ -139,48 +140,28 @@ def pochhammer(a: float, k: int) -> float:
     return acc
 
 
-class CutSide(enum.Enum):
-    """Side of the negative real axis on which a power is evaluated."""
-
-    PLUS_I0 = "+i0"
-    MINUS_I0 = "-i0"
-
-
-def complex_power(z, nu: float, side: CutSide | None = None):
-    """z**nu on the branch -pi < arg z < pi, explicit about the cut.
-
-    For z strictly on the negative real axis the principal value is
-    ambiguous, and relying on the sign of a floating zero imaginary part is
-    exactly the kind of silent convention slip this function exists to
-    prevent.  The caller must then pass ``side``:
-
-        (z + i0)^nu = e^{+i pi nu} (-z)^nu
-        (z - i0)^nu = e^{-i pi nu} (-z)^nu
-
-    Off the cut ``side`` is ignored.  z = 0 maps to 0 for nu > 0 and 1 for
-    nu = 0; DomainError for nu < 0.  A scalar z gives a complex, an array
-    z a complex array; an array with any point on the cut needs ``side``.
-    A power past double range is inf, with no warning (sweep flags it).
+def complex_power(z, nu: float):
+    """z**nu on the principal branch -pi < arg z < pi, for the package's
+    bases (1 - e^{i omega delta})/delta, whose real part is never negative.
+    A z on the branch cut (-inf, 0) raises ValidationError.  z = 0 maps to
+    0 for nu > 0 and 1 for nu = 0; DomainError for nu < 0.  A scalar z
+    gives a complex, an array z a complex array.  A power past double
+    range is inf, with no warning (sweep flags it).
     """
     z = np.asarray(z, dtype=complex)
     zero = z == 0
-    cut = (z.imag == 0.0) & (z.real < 0.0)
     # np.count_nonzero takes about 60% of the time of .any() on a 0-d mask
-    any_zero, any_cut = np.count_nonzero(zero), np.count_nonzero(cut)
+    any_zero = np.count_nonzero(zero)
     if nu < 0.0 and any_zero:
         raise DomainError("0**nu diverges for nu < 0")
-    if side is None and any_cut:
+    if np.count_nonzero((z.imag == 0.0) & (z.real < 0.0)):
         raise ValidationError(
-            "z lies on the branch cut; pass side=CutSide.PLUS_I0 or "
-            "side=CutSide.MINUS_I0 to pick a boundary value"
+            "z lies on the branch cut (-inf, 0), where z**nu has no principal value"
         )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.exp(nu * np.log(z))
         if any_zero:
             out = np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out)
-        if any_cut:
-            sign = 1.0 if side is CutSide.PLUS_I0 else -1.0
-            out = np.where(cut, (-z.real) ** nu * np.exp(sign * 1j * math.pi * nu), out)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -333,18 +314,18 @@ def hyp2f1(a: float, b: float, c: float, z):
     * a or b a nonpositive integer: exact terminating sum, any z (real or
       complex, scalar or array).  The bottom parameter may itself be a
       nonpositive integer as long as its pole sits beyond the termination
-      index.
-    * |z| <= 0.95: direct series (complex z allowed).
-    * real z < -0.5: Pfaff map z -> z/(z-1) onto (0, 1), then recurse.
+      index.  This serves the Hahn transfer on the unit circle.
+    * real |z| <= 0.95: direct series.
     * real 0.95 < z < 1: connection formula in powers of 1 - z.  Needs
       c - a - b away from the integers; the logarithmic cases are not
       implemented and raise ConvergenceError.
-    * z = 1: Gauss summation, requires c - a - b > 0.
+    * z = 1: Gauss summation, requires c - a - b > 0.  The kernel reaches
+      it where a quadrature node within an ulp of y = 1 rounds its
+      argument to exactly 1.
 
-    Anything else (real z > 1 sits on the branch cut, non-real z with
-    |z| > 0.95) is outside the supported region and raises DomainError.
-    A real array takes each point down the branch its scalar would take;
-    a non-real array must lie inside |z| <= 0.95 as a whole.
+    A non-terminating series takes real z in [-0.95, 1] only: a non-real
+    z, a real z < -0.95 and the branch cut z > 1 raise DomainError.  A
+    real array takes each point down the branch its scalar would take.
     """
     m = _terminating_index(a, b)
     if m is not None:
@@ -355,16 +336,11 @@ def hyp2f1(a: float, b: float, c: float, z):
 
     if isinstance(z, np.ndarray):
         if np.iscomplexobj(z):
-            if np.all(np.abs(z) <= 0.95):
-                return _series("2F1", a, b, c, z, kmax=None)
             if np.any(z.imag != 0.0):
-                raise DomainError(
-                    "2F1 takes a non-real array argument only for |z| <= 0.95 "
-                    "throughout; evaluate other points one at a time"
-                )
-        x = z.real.reshape(-1)
-        branch = np.select(
-            [x < -0.5, np.abs(x) <= 0.95, x < 1.0, x == 1.0], [0, 1, 2, 3], -1)
+                raise DomainError("a non-terminating 2F1 takes real arguments only")
+            z = z.real
+        x = z.reshape(-1)
+        branch = np.select([x < -0.95, x <= 0.95, x < 1.0, x == 1.0], [-1, 1, 2, 3], -1)
         out = np.empty(x.shape)
         for k in np.unique(branch):     # -1, the points outside, first
             at = branch == k
@@ -372,11 +348,7 @@ def hyp2f1(a: float, b: float, c: float, z):
         return out.reshape(z.shape)
 
     if isinstance(z, complex) and z.imag != 0.0:
-        if abs(z) <= 0.95:
-            return _series("2F1", a, b, c, z, kmax=None)
-        raise DomainError(
-            f"2F1 supports non-real arguments only for |z| <= 0.95, got |z| = {abs(z):g}"
-        )
+        raise DomainError(f"a non-terminating 2F1 takes real arguments only, got z = {z:g}")
     x = z.real if isinstance(z, complex) else float(z)
     return _real_hyp2f1(a, b, c, x, x)
 
@@ -384,13 +356,9 @@ def hyp2f1(a: float, b: float, c: float, z):
 def _real_hyp2f1(a: float, b: float, c: float, x, at: float):
     """Non-terminating 2F1 at real x, a float or an array whose points all
     take the branch of the float `at`."""
-    if at < -0.5:
-        # Pfaff: 2F1(a, b; c; x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)),
-        # and x/(x-1) lands in (1/3, 1) where the other branches apply.
-        return (1.0 - x) ** (-a) * hyp2f1(a, c - b, c, x / (x - 1.0))
     if abs(at) <= 0.95:
         return _series("2F1", a, b, c, x, kmax=None)
-    if at < 1.0:
+    if 0.95 < at < 1.0:
         return _connection_near_one(a, b, c, x)
     if at == 1.0:
         if c - a - b <= 0.0:
@@ -398,7 +366,7 @@ def _real_hyp2f1(a: float, b: float, c: float, x, at: float):
                 f"2F1 diverges at z = 1 for c - a - b = {c - a - b:g} <= 0"
             )
         return gamma(c) * gamma(c - a - b) * rgamma(c - a) * rgamma(c - b)
-    raise DomainError(f"2F1 argument z = {at:g} lies on the branch cut [1, inf)")
+    raise DomainError(f"a non-terminating 2F1 takes real z in [-0.95, 1] only, got z = {at:g}")
 
 
 def _connection_near_one(a: float, b: float, c: float, x: float):
@@ -458,10 +426,10 @@ def kummer_m(a: float, c: float, z):
     """Confluent hypergeometric M(a, c; z) for real parameters.
 
     Terminating cases (a a nonpositive integer) are summed exactly for any
-    z.  Otherwise the direct series is used for Re z >= 0 and the Kummer
-    transformation M(a, c; z) = e^z M(c-a, c; -z) for Re z < 0, which keeps
-    every term of the inner series positive-real-argument and well behaved.
-    An array z takes each point down its own branch.
+    z.  Otherwise the direct series runs for Re z >= 0, which covers the
+    package's two callers: the Jacobi transfer's imaginary 2i omega delta
+    and the Laguerre kernel's y >= 0.  A point with Re z < 0 raises
+    DomainError.
 
     Arguments with |z| > KUMMER_MAX_ABS raise DomainError: the partial sums
     of the series reach about e^{|z|} before cancelling down to the answer,
@@ -481,16 +449,9 @@ def kummer_m(a: float, c: float, z):
         return _series("M", a, None, c, z, kmax=m)
     if _nonpositive_int(c):
         raise PoleError(f"M undefined for bottom parameter c = {c:g}")
-    flip = z.real < 0.0
-    if isinstance(z, np.ndarray):
-        if flip.any() and not flip.all():
-            out = np.empty(z.shape, np.result_type(z, 1.0))
-            out[flip] = kummer_m(a, c, z[flip])
-            out[~flip] = kummer_m(a, c, z[~flip])
-            return out
-        flip = flip.any()
-    if flip:
-        return np.exp(z) * kummer_m(c - a, c, -z)
+    left = np.min(z.real, initial=0.0) if isinstance(z, np.ndarray) else z.real
+    if left < 0.0:
+        raise DomainError(f"a non-terminating M takes Re z >= 0 only, got Re z = {left:g}")
     return _series("M", a, None, c, z, kmax=None)
 
 
@@ -500,16 +461,23 @@ def _odd_product(n: int) -> float:
     return math.prod(range(3, 2 * n + 2, 2), start=1.0)
 
 
-def _spherical_bessel(n: int, x, ratio: bool):
-    """j_n(x), or j_n(x)/x^n when ratio, for a finite float or array x.
+def spherical_jn_ratio(n: int, x):
+    """j_n(x) / x^n, n >= 0, continued through x = 0 with value
+    1/(2n+1)!!, for a finite float (giving a float) or array x;
+    DomainError otherwise.
 
-    |x| < 1: the ratio's power series.  |x| >= 1: the closed j_0 and j_1,
-    then the upward recurrence where |x| > n + 1 (every |x| for n <= 1)
-    and Miller's downward one elsewhere, scaled by the larger of j_0 and
-    j_1 so that no zero divides (DLMF 10.49, 3.6); around the turning
-    point |x| = n + 1/2 Miller's measured the smaller error.  Each branch
-    runs on the array clipped to its range and np.where picks; a scalar
-    runs its one branch on numpy scalars, or the series on Python floats."""
+    The transfer function of the n-th order smoothed differentiator is
+    proportional to this ratio; evaluating it directly keeps the low
+    frequency end of a sweep exact instead of dividing two underflowing
+    quantities.  Past n ~ 150 it underflows.
+
+    |x| < 1: the power series.  |x| >= 1: the closed j_0 and j_1, then the
+    upward recurrence where |x| > n + 1 (every |x| for n <= 1) and
+    Miller's downward one elsewhere, scaled by the larger of j_0 and j_1
+    so that no zero divides (DLMF 10.49, 3.6); around the turning point
+    |x| = n + 1/2 Miller's measured the smaller error.  Each branch runs
+    on the array clipped to its range and np.where picks; a scalar runs
+    its one branch on numpy scalars, or the series on Python floats."""
     if n < 0:
         raise ValidationError(f"spherical Bessel order must be >= 0, got {n}")
     x = np.float64(x)     # a numpy float for a scalar x, else a float array
@@ -543,7 +511,7 @@ def _spherical_bessel(n: int, x, ratio: bool):
             term = term * (u / d)
             total = total + term
         total = total / _odd_product(n)
-        out = series = total if ratio else xs ** n * total
+        out = series = total
     if hi >= 1.0:
         # x*x and x^n stay below 2^1023 up to 2^(1023/max(n, 2)); past that
         # they overflow to inf, which gives the 0 the ratio underflows to.
@@ -571,25 +539,6 @@ def _spherical_bessel(n: int, x, ratio: bool):
                 first = np.abs(j0) >= np.abs(j1)
                 miller = at_n * np.where(first, j0, j1) / np.where(first, j, jp)
                 jn = miller if jn is None else np.where(xb > n + 1, jn, miller)
-            if ratio:
-                jn = jn / xb ** n
+            jn = jn / xb ** n
         out = jn if lo >= 1.0 else np.where(a < 1.0, series, jn)
-    if not ratio and n % 2:
-        out = np.where(x < 0.0, -out, out)
     return float(out) if scalar else out
-
-
-def spherical_jn(n: int, x):
-    """Spherical Bessel function of the first kind j_n(x), n >= 0, for a
-    finite float (giving a float) or array x; DomainError otherwise."""
-    return _spherical_bessel(n, x, False)
-
-
-def spherical_jn_ratio(n: int, x):
-    """j_n(x) / x^n, continued through x = 0 with value 1/(2n+1)!!.
-
-    The transfer function of the n-th order smoothed differentiator is
-    proportional to this ratio; evaluating it directly keeps the low
-    frequency end of a sweep exact instead of dividing two underflowing
-    quantities.  Takes x like spherical_jn; past n ~ 150 it underflows."""
-    return _spherical_bessel(n, x, True)

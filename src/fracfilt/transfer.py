@@ -37,11 +37,11 @@ from itertools import chain
 import numpy as np
 
 from ._textio import _open_text
-from .errors import DomainError, FracfiltError, ValidationError
+from .errors import DomainError, FracfiltError, ValidationError, as_index
 from .hahn import HahnFilterParams, gram_n1_weights
 from .kernels import JacobiKernelParams
 from .specfun import (
-    complex_power, gamma, gamma_ratio, hyp2f1, kummer_m, spherical_jn_ratio,
+    _odd_product, complex_power, gamma, gamma_ratio, hyp2f1, kummer_m, spherical_jn_ratio,
 )
 
 
@@ -97,11 +97,8 @@ _MAX_GRID_POINTS = 10**7
 
 
 def _grid_count(count) -> int:
-    try:
-        n = operator.index(count)
-    except TypeError:
-        n = 0
-    if n < 1:
+    n = as_index(count)
+    if not n >= 1:
         raise ValidationError(f"grid point count must be a positive integer, got {count!r}")
     if n > _MAX_GRID_POINTS:
         raise ValidationError(f"grid point count {n} is above the cap of {_MAX_GRID_POINTS}")
@@ -309,14 +306,6 @@ def jacobi_transfer(
     return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
-@lru_cache(maxsize=None)
-def _odd_double_factorial(n: int) -> float:
-    """(2n+1)!!, exact and rounded once; 301!! (n = 150) already overflows."""
-    if n >= 150:
-        raise DomainError(f"(2n+1)!! overflows double precision at n = {n}")
-    return float(math.prod(range(1, 2 * n + 2, 2)))
-
-
 def legendre_transfer(
     n: int, nu: float, delta: float, omega: float | np.ndarray,
     convention: Convention = Convention.WEYL,
@@ -325,16 +314,18 @@ def legendre_transfer(
     form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n, one spherical_jn_ratio
     call.  Same function as jacobi_transfer at those parameters but valid
     at any finite frequency; (2n+1)!! overflows (DomainError) from n = 150 on."""
-    if not (isinstance(n, int) and n >= 1):
+    order = as_index(n)
+    if not order >= 1:
         raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"step must be positive and finite, got {delta:g}")
-    coeff = _odd_double_factorial(n)
+    if order >= 150:
+        raise DomainError(f"(2n+1)!! overflows double precision at n = {order}")
     w = _real_omega(omega)
     power = _axis_power(w, nu, 1.0)
-    ratio = spherical_jn_ratio(n, w * delta)
+    ratio = spherical_jn_ratio(order, w * delta)
     with _quiet(not 0.0 <= nu < 1.0):
-        value = power * coeff * ratio
+        value = power * _odd_product(order) * ratio
     return _result(w, value if convention is Convention.WEYL else np.conj(value))
 
 
@@ -458,13 +449,14 @@ def butterworth_fractional_transfer(
 ) -> complex | np.ndarray:
     """Fractional differentiator shaped by a 2n-pole low-pass roll-off:
     (-i w)^nu / (1 + (w/w0)^(2n))."""
-    if not (isinstance(n, int) and n >= 1):
+    order = as_index(n)
+    if not order >= 1:
         raise ValidationError(f"filter order n must be a positive integer, got {n!r}")
     if not omega0 > 0.0:
         raise ValidationError(f"corner frequency must be positive, got {omega0:g}")
     w = _real_omega(omega)
     with np.errstate(over="ignore", invalid="ignore"):    # sweep flags inf/NaN
-        return _result(w, _axis_power(w, nu, -1.0) / (1.0 + (w / omega0) ** (2 * n)))
+        return _result(w, _axis_power(w, nu, -1.0) / (1.0 + (w / omega0) ** (2 * order)))
 
 
 def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
@@ -473,8 +465,10 @@ def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
     Algebraically identical to summing the taps, but arranged so the big
     cancellations happen symbolically: one fractional Gamma ratio times a
     small bracket whose pieces are O(M) products.  Decays like M^(-nu)."""
-    if not (isinstance(N, int) and N >= 1 and isinstance(M, int) and M >= 1):
+    fwd, bwd = as_index(N), as_index(M)
+    if not (fwd >= 1 and bwd >= 1):
         raise ValidationError(f"need positive integers N, M; got N = {N!r}, M = {M!r}")
+    N, M = fwd, bwd
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(f"first-order scheme covers 0 <= nu <= 1, got {nu:g}")
     if not delta > 0.0:

@@ -212,6 +212,37 @@ class TestJacobiKernelArrays:
                         mnu + 1, n + b + 1, 2 * n + a + b + 2, 2 / (1 + my))
                 assert jacobi_kernel(p, y) == pytest.approx(float(ref), rel=1e-10)
 
+    @pytest.mark.parametrize("alpha, beta, n, nu", [(0.5, 0.2, 2, 0.7), (-0.85, 0.2, 1, 0.9)])
+    def test_nodes_rounding_onto_one_take_the_gauss_value(self, alpha, beta, n, nu):
+        """A level-0 node of the [-1, 1] or [1, 2] chunk about 5e-23 from
+        y = 1 has u = 1 + y round to exactly 2, so its 2F1 argument, u/2
+        inside or 2/u in the tail, is exactly 1 and takes Gauss's value.
+        n + alpha - nu is 1.8 (the Euler interior and direct tail forms)
+        and -0.75 (the direct interior and Euler tail forms).  Scalar and
+        array calls match 40-digit mpmath at the node's true position."""
+        p = JacobiKernelParams(alpha=alpha, beta=beta, n=n, nu=nu, delta=1.0)
+        for side, (lo, hi) in ((-1.0, (-1.0, 1.0)), (1.0, (1.0, 2.0))):
+            _, d_lo, d_hi = kernels._level_nodes(lo, hi, 0)
+            d = d_hi if side < 0.0 else d_lo
+            u = 2.0 + side * d
+            (d,) = d[(u == 2.0) & (d > 1e-30)]
+            with mpmath.workdps(40):
+                a, b, mnu, md = (mpmath.mpf(v) for v in (alpha, beta, nu, d))
+                mu = 2 + side * md
+                if side < 0.0:
+                    ref = mpmath.gamma(2 * n + a + b + 2) / (
+                        2 ** (2 * n - mnu + a + b + 1) * mpmath.gamma(n + a + 1)
+                        * mpmath.gamma(n - mnu + b + 1)) * md ** (n + a - mnu) \
+                        * mu ** (n + b - mnu) * mpmath.hyp2f1(
+                            -mnu, 2 * n - mnu + a + b + 1, n - mnu + b + 1, mu / 2)
+                else:
+                    ref = mpmath.rgamma(-mnu) * mu ** (-mnu - 1) * mpmath.hyp2f1(
+                        mnu + 1, n + b + 1, 2 * n + a + b + 2, 2 / mu)
+            gaps = (2.0, -side * d)
+            assert jacobi_kernel(p, 1.0, _gaps=gaps) == pytest.approx(float(ref), rel=2e-15)
+            got = jacobi_kernel(p, np.ones(1), _gaps=tuple(np.full(1, g) for g in gaps))
+            assert got[0] == pytest.approx(float(ref), rel=2e-15)
+
     def test_float_in_float_out(self):
         assert type(jacobi_kernel(LEGENDRE_HALF, 0.3)) is float
         assert type(jacobi_kernel(LEGENDRE_HALF, 3.0)) is float

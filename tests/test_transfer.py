@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fracfilt.errors import DomainError, FracfiltError, ValidationError
 from fracfilt.fracops import gl_coefficients
 from fracfilt.hahn import HahnFilterParams, gram_n1_weights, hahn_weights
-from fracfilt.kernels import JacobiKernelParams
+from fracfilt.kernels import JacobiKernelParams, laguerre_kernel
 from fracfilt.transfer import (
     Convention,
     FrequencyGrid,
@@ -525,6 +525,43 @@ class TestTruncatedDcGain:
                 * ((N - 2 * M - N * nu_mp) * prod + (3 - nu_mp) * N + 2 * (M - nu_mp + 2))
             )
         assert truncated_dc_gain(N, nu, 1.0, M) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+class TestIntegerOrders:
+    """Every design order, history length and grid count goes through one
+    operator.index test: a numpy integer is taken and stored as a Python
+    int, and a float, a string or a value below range is refused."""
+
+    ENTRY_POINTS = {
+        "HahnFilterParams.N": lambda k: _flat_params(k, 0.5).N,
+        "HahnFilterParams.n": lambda k: _flat_params(4, 0.5, n=k).n,
+        "HahnFilterParams.M": lambda k: _flat_params(4, 0.5, M=k).M,
+        "gram_n1_weights.N": lambda k: gram_n1_weights(k, 0.5, 1.0, 64).backward,
+        "gram_n1_weights.M": lambda k: gram_n1_weights(4, 0.5, 1.0, k).backward,
+        "truncated_dc_gain.N": lambda k: truncated_dc_gain(k, 0.5, 1.0, 64),
+        "truncated_dc_gain.M": lambda k: truncated_dc_gain(4, 0.5, 1.0, k),
+        "JacobiKernelParams.n": lambda k: JacobiKernelParams(0.3, 0.2, k, 0.5, 1.0).n,
+        "laguerre_kernel.n": lambda k: laguerre_kernel(0.3, k, 0.5, 2.0),
+        "legendre_transfer.n": lambda k: legendre_transfer(k, 0.5, 0.1, 2.0),
+        "butterworth_fractional_transfer.n":
+            lambda k: butterworth_fractional_transfer(0.5, k, 1.0, 2.0),
+        "FrequencyGrid.count": lambda k: FrequencyGrid.linear(1.0, 2.0, k).points,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integers_are_taken_as_int(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        expected = call(4)
+        for kind in (np.int64, np.int32):
+            got = call(kind(4))
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_integers_and_values_below_range_are_refused(self, entry):
+        for bad in (4.0, np.float64(4.0), "4", 0, np.int64(0), -3):
+            with pytest.raises(ValidationError):
+                self.ENTRY_POINTS[entry](bad)
 
 
 class TestFilterMetrics:
