@@ -7,6 +7,7 @@ sys.modules["scipy"] = None makes every scipy import raise ImportError,
 so the check holds on a machine that has scipy installed as well.
 """
 
+import json
 import math
 import os
 import sys
@@ -38,7 +39,19 @@ with tempfile.TemporaryDirectory() as tmp:
          "-i", signal, "-o", os.path.join(tmp, "out.csv")],
         ["sweep", "--family", "jacobi", "--nu", "0.5", "--delta", "0.1",
          "-o", os.path.join(tmp, "sweep.json")],
+        ["sweep", "--family", "hahn", "--nu", "0.5", "--delta", "1", "--N", "4",
+         "--alpha", "0.5", "--M", "64", "--grid", "0.1:1:3:log",
+         "-o", os.path.join(tmp, "hahn.txt")],
         ["metrics", "--family", "gram", "--nu", "0.5", "--delta", "1e-3", "--N", "4", "--M", "64"],
     ):
         assert cli.main(argv) == 0, argv
+        # a sweep that exits 0 may still have written every point invalid
+        if argv[0] == "sweep":
+            path = argv[-1]
+            with open(path, encoding="ascii") as fh:
+                if path.endswith(".json"):
+                    flags = [sample["valid"] for sample in json.load(fh)["samples"]]
+                else:
+                    flags = [line.split()[5] == "1" for line in fh if not line.startswith("#")]
+            assert flags and all(flags), (argv, flags)
 print("numpy-only smoke: ok")

@@ -69,10 +69,9 @@ class HahnFilterParams:
             )
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "n", n)
-        if self.nu > self.n:
-            raise ValidationError(
-                f"fractional order nu = {self.nu:g} exceeds the scheme order n = {self.n}"
-            )
+        if not -math.inf < self.nu <= self.n:
+            raise ValidationError(f"fractional order nu = {self.nu:g} is not finite "
+                                  f"or exceeds the scheme order n = {self.n}")
         if not self.delta > 0.0:
             raise ValidationError(f"sample step must be positive, got {self.delta:g}")
         M = default_history(N, n, self.nu) if self.M is None else as_index(self.M)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._textio import _open_text
 from .errors import DomainError, FracfiltError, ValidationError, as_index
-from .hahn import HahnFilterParams, gram_n1_weights
+from .hahn import HahnFilterParams, gram_n1_weights, hahn_weights
 from .kernels import JacobiKernelParams
 from .specfun import (
     _odd_product, complex_power, gamma, gamma_ratio, hyp2f1, kummer_m, spherical_jn_ratio,
@@ -355,13 +355,16 @@ def hahn_transfer(
 
 
 @lru_cache(maxsize=16)
-def _gram_taps(N: int, nu: float, delta: float, M: int):
-    """gram_n1_weights' taps laid out for hahn_truncated_transfer: the
-    prefactor, the block matrix, its number of backward rows and the block
-    length B = isqrt(M + N + 1) + 1.  Backward row q holds the coefficients
-    of z^(qB) .. z^(qB + B - 1), z = e^(i w delta), with a 0 for z^0; the
-    forward rows hold the forward taps the same way in powers of 1/z."""
-    w = gram_n1_weights(N, nu, delta, M)
+def _gram_taps(p: HahnFilterParams):
+    """A design's taps laid out for hahn_truncated_transfer: the prefactor,
+    the block matrix, its number of backward rows and the block length
+    B = isqrt(M + N + 1) + 1.  Backward row q holds the coefficients of
+    z^(qB) .. z^(qB + B - 1), z = e^(i w delta), with a 0 for z^0; the
+    forward rows hold the forward taps the same way in powers of 1/z.
+    Serves every design; it keeps its gram name because bench/worker.py
+    clears and reads this cache under it."""
+    gram = p.n == 1 and p.alpha == p.beta == 0.0 and 0.0 <= p.nu <= 1.0
+    w = gram_n1_weights(p.N, p.nu, p.delta, p.M) if gram else hahn_weights(p)
     B = math.isqrt(w.taps.size) + 1
     back = _blocks(np.concatenate(([0.0], w.backward)), B)
     return w.prefactor, np.concatenate((back, _blocks(w.forward, B))), back.shape[0], B
@@ -384,10 +387,10 @@ def hahn_truncated_transfer(
 ) -> complex | np.ndarray:
     """Response of the deliverable filter: backward history cut at M taps.
 
-    Finite Fourier sum of the actual tap set (first-order flat-weight
-    scheme only, where the taps have closed Gamma-ratio forms).  Tends to
-    hahn_transfer as M grows; at omega = 0 it exposes the residual DC gain
-    that the truncation leaves behind.
+    Finite Fourier sum of the taps of any design: gram_n1_weights' closed
+    forms for a gram design (n = 1, alpha = beta = 0, 0 <= nu <= 1), else
+    hahn_weights'.  Tends to hahn_transfer as M grows; at omega = 0 it
+    exposes the residual DC gain that the truncation leaves behind.
 
     The sum is two polynomials, the backward taps in z = e^(i w delta)
     and the forward taps in 1/z, cut into blocks of B ~ sqrt(M + N)
@@ -395,12 +398,7 @@ def hahn_truncated_transfer(
     times the block matrix; the blocks of each polynomial are joined by
     Horner's rule in z^B.  An array of P frequencies costs O(P (M + N))
     flops in O(sqrt(M + N)) numpy calls per chunk of frequencies."""
-    if params.n != 1 or params.alpha != 0.0 or params.beta != 0.0:
-        raise ValidationError(
-            "truncated response is implemented for the first-order flat-weight "
-            "scheme (n = 1, alpha = beta = 0)"
-        )
-    prefactor, blocks, n_back, B = _gram_taps(params.N, params.nu, params.delta, params.M)
+    prefactor, blocks, n_back, B = _gram_taps(params)
     theta = _real_omega(omega) * params.delta
     flat = np.reshape(theta, -1)
     out = np.empty(flat.size, dtype=complex)

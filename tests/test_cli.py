@@ -21,7 +21,7 @@ from fracfilt.hahn import (
     gram_n1_weights,
     hahn_weights,
 )
-from fracfilt.transfer import truncated_dc_gain
+from fracfilt.transfer import hahn_truncated_transfer, truncated_dc_gain
 
 HALF_DERIVATIVE_OF_SQUARE = 1.5045055561273502
 
@@ -757,6 +757,26 @@ class TestRobustness:
         )
         assert code == 0
         assert all(row[5] == "1" for row in _sweep_rows(out))
+
+    @pytest.mark.parametrize("family,nu,alpha", [("hahn", 0.5, 0.5), ("gram", -0.5, 0.0)])
+    def test_truncated_sweep_of_a_design_outside_gram_n1_weights(
+            self, tmp_path, capsys, family, nu, alpha):
+        """A hahn design with alpha != 0, and a gram design below
+        gram_n1_weights' nu range, once wrote every row as nan ... 0."""
+        out = tmp_path / "h.txt"
+        argv = ["sweep", "--family", family, "--nu", str(nu), "--delta", "1", "--N", "4",
+                "--M", "64", "--grid", "0.1:1:3:log", "-o", str(out)]
+        if family == "hahn":
+            argv += ["--alpha", str(alpha)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        rows = _sweep_rows(out)
+        omega = np.array([float(row[0]) for row in rows])
+        expected = hahn_truncated_transfer(
+            HahnFilterParams(alpha, 0.0, 4, 1, nu, 1.0, 64), omega)
+        assert len(rows) == 3 and all(row[5] == "1" for row in rows)
+        for row, h in zip(rows, expected):
+            assert complex(float(row[1]), float(row[2])) == h
 
     def test_legendre_order_past_gamma_range_poisons_points(self, tmp_path, capsys):
         out = tmp_path / "l200.json"

@@ -3,6 +3,7 @@ quadrature route, and backward differences."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -121,6 +122,23 @@ class TestPowerActions:
         assert rl_power(-1.5, 0.3, 2.0, extended=True) == pytest.approx(
             weyl_power(-1.5, 0.3, 2.0), rel=1e-14
         )
+
+    def test_poles_top_and_bottom_leave_the_limit(self):
+        """Gamma(top)/Gamma(bottom) with both at poles is the limit
+        (-1)^(bottom - top) Gamma(1 - bottom)/Gamma(1 - top), which is
+        mpmath.gammaprod's.  rl_power(-3, 1, x): Gamma(-2)/Gamma(-1) = -1/2;
+        weyl_power(2, -1, x) is -2x, the upper-limit first derivative of
+        x^2; rl_power(-4, 3, x): Gamma(-3)/Gamma(0) = -1/6, another odd gap,
+        and rl_power(-3, 2, x): Gamma(-2)/Gamma(0) = +1/2, an even one."""
+        assert rl_power(-3.0, 1.0, 2.0) == -0.125
+        assert weyl_power(2.0, -1.0, 3.0) == -6.0
+        cases = [(rl_power, (-3.0, 1.0, 2.0), -2.0, -1.0),
+                 (weyl_power, (2.0, -1.0, 3.0), -1.0, -2.0),
+                 (rl_power, (-4.0, 3.0, 2.0), -3.0, 0.0),
+                 (rl_power, (-3.0, 2.0, 2.0), -2.0, 0.0)]
+        for fn, (alpha, mu, x), top, bottom in cases:
+            limit = float(mpmath.gammaprod([top], [bottom]))
+            assert fn(alpha, mu, x) == pytest.approx(limit * x ** (alpha + mu), rel=1e-15)
 
     def test_positive_x_required(self):
         with pytest.raises(ValidationError):

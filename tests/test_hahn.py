@@ -66,8 +66,11 @@ class TestParams:
         assert p.M == 128
 
     def test_validation(self):
-        with pytest.raises(ValidationError, match="exceeds the scheme order"):
-            HahnFilterParams(alpha=0.0, beta=0.0, N=4, n=1, nu=1.5, delta=1.0)
+        # a NaN or infinite order is refused too: the taps and responses of
+        # such a design would be NaN without an error
+        for nu in (1.5, math.nan, -math.inf, math.inf):
+            with pytest.raises(ValidationError, match="exceeds the scheme order"):
+                HahnFilterParams(alpha=0.0, beta=0.0, N=4, n=1, nu=nu, delta=1.0, M=8)
         with pytest.raises(ValidationError):
             HahnFilterParams(alpha=0.0, beta=0.0, N=4, n=5, nu=0.5, delta=1.0)
         with pytest.raises(ValidationError):

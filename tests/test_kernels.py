@@ -169,6 +169,12 @@ class TestJacobiKernel:
             rhs = confluent_inverse_ft(2.0, 1.5, 4.0, (1.0 - y) / 2.0) / scale
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
+    def test_nan_argument_refused(self):
+        with pytest.raises(DomainError):
+            jacobi_kernel(LEGENDRE_HALF, math.nan)
+        with pytest.raises(DomainError):
+            jacobi_kernel(LEGENDRE_HALF, np.array([0.2, math.nan]))
+
     def test_left_endpoint_singular_orders_refused(self):
         p = JacobiKernelParams(alpha=0.0, beta=-0.5, n=1, nu=0.5, delta=1.0)
         with pytest.raises(DomainError):
@@ -379,6 +385,12 @@ class TestApplyKernel:
         out = apply_kernel(f, p, 0.3)
         assert out.value == pytest.approx(math.exp(-0.3), rel=1e-2)
         assert out.tail_bound < 1e-10
+
+    def test_tail_that_never_settles_raises(self):
+        """f = 1 leaves the tail bound of order y^(-nu) above its target
+        all the way to the largest cutoff (1e12)."""
+        with pytest.raises(ConvergenceError, match="still above target"):
+            apply_kernel(lambda t: 1.0, LEGENDRE_HALF, 0.0)
 
     def test_scheme_error_is_second_order(self):
         f = lambda t: math.exp(-t)

@@ -294,6 +294,32 @@ class TestGaussHypergeometric:
         with pytest.raises(PoleError):
             hyp2f1(0.3, 1.7, -1.0, 0.5)
 
+    def test_bottom_pole_before_termination_raises(self):
+        # a = -3 stops the series at k = 3, after c = -1 puts a 0 in (c)_2
+        with pytest.raises(PoleError):
+            hyp2f1(-3.0, 1.0, -1.0, 0.5)
+        with pytest.raises(PoleError):
+            hyp2f1(-3.0, 1.0, -1.0, np.array([0.5, 0.2]))
+
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_gauss_value_needs_positive_c_minus_a_minus_b(self, c):
+        # at z = 1 the series diverges unless c - a - b > 0
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, c, 1.0)
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, c, np.array([0.5, 1.0]))
+
+    def test_complex_zero_imaginary_arguments_are_real(self):
+        """A complex z with zero imaginary part takes the real route and
+        returns real values: 2F1(1/2, 1/2; 3/2; x) = asin(sqrt x)/sqrt x."""
+        z = np.array([0.2 + 0j, 0.3 + 0j])
+        got = hyp2f1(0.5, 0.5, 1.5, z)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, hyp2f1(0.5, 0.5, 1.5, z.real))
+        assert hyp2f1(0.5, 0.5, 1.5, 0.2 + 0j) == got[0]
+        for x, g in zip(z.real.tolist(), got.tolist()):
+            assert g == pytest.approx(math.asin(math.sqrt(x)) / math.sqrt(x), rel=1e-14)
+
     def test_bottom_pole_after_termination_is_fine(self):
         # c = -3 but the a = -1 series stops at k = 1, before the pole
         assert hyp2f1(-1.0, 2.0, -3.0, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-14)
@@ -334,6 +360,13 @@ class TestKummer:
     def test_bottom_pole_raises(self):
         with pytest.raises(PoleError):
             kummer_m(0.7, 0.0, 1.0)
+
+    def test_bottom_pole_before_termination_raises(self):
+        # a = -3 stops the series at k = 3, after c = -1 puts a 0 in (c)_2
+        with pytest.raises(PoleError):
+            kummer_m(-3.0, -1.0, 0.5)
+        with pytest.raises(PoleError):
+            kummer_m(-3.0, -1.0, np.array([0.5, 2j]))
 
     @pytest.mark.parametrize("z", [-30.0, -45.0, -3.0 + 4.0j, -1e-300 + 2.0j])
     def test_negative_real_part_raises(self, z):

@@ -331,6 +331,45 @@ class TestHahnTransfer:
         np.testing.assert_allclose(hahn_transfer(p, w), expected, rtol=1e-12, atol=0.0)
 
 
+def _limit_designs(count):
+    """(alpha, beta, n, nu, omega delta) drawn once from a fixed seed:
+    n <= 3, nu in [0.1, n - 0.05], alpha, beta in [-0.9, 2]."""
+    rng = np.random.default_rng(10)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        nu, (a, b) = rng.uniform(0.1, n - 0.05), rng.uniform(-0.9, 2.0, 2)
+        out.append((float(a), float(b), n, float(nu), float(rng.choice([0.3, 1.0, 3.0, 8.0]))))
+    return out
+
+
+class TestDiscreteToContinuousLimit:
+    @pytest.mark.parametrize("alpha,beta,n,nu,theta", _limit_designs(40))
+    def test_hahn_transfer_tends_to_jacobi_transfer(self, alpha, beta, n, nu, theta):
+        """The Hahn filter on N + 1 samples spanning [0, 2 delta], shifted
+        by delta N/(N + 1) to center its window, tends to the continuous
+        Jacobi kernel's lower-limit response.  The error is first order in
+        the sample step, as the backward-difference factor B^nu = (-i w)^nu
+        (1 + O(w delta_h)) implies: from N = 256 to 1024 it falls by a
+        factor in [3, 5] (3.72 to 4.21 over 200 random designs).  64 -> 256
+        is not yet asymptotic (3.15 to 5.73), and about 1 random design in
+        1000 with n = 3 and w delta = 8, where the first-order term nearly
+        cancels, needs N >= 1024: (0.53, 1.06, 3, 1.22, 8) gives 2.42, then
+        3.55 from 1024 to 4096.  Either convention flipped leaves a ratio
+        near 1."""
+        delta = 0.7
+        omega = theta / delta
+        ref = jacobi_transfer(JacobiKernelParams(alpha, beta, n, nu, delta), omega,
+                              Convention.RIEMANN_LIOUVILLE)
+
+        def err(N):
+            p = HahnFilterParams(alpha, beta, N, n, nu, 2.0 * delta / (N + 1))
+            shifted = hahn_transfer(p, omega) * cmath.exp(1j * omega * delta * N / (N + 1))
+            return abs(shifted - ref) / abs(ref)
+
+        assert 3.0 <= err(256) / err(1024) <= 5.0
+
+
 class TestHahnTruncatedTransfer:
     def test_converges_to_the_exact_response(self):
         exact = hahn_transfer(_flat_params(7, 0.5, M=1), 0.5)
@@ -347,17 +386,47 @@ class TestHahnTruncatedTransfer:
         assert h0.imag == 0.0
         assert h0.real == pytest.approx(truncated_dc_gain(7, 0.5, 1.0, 64), rel=1e-10)
 
-    def test_only_first_order_flat_weight(self):
-        with pytest.raises(ValidationError):
-            hahn_truncated_transfer(
-                HahnFilterParams(alpha=0.5, beta=0.5, N=4, n=1, nu=0.5, delta=1.0, M=8),
-                1.0,
-            )
-        with pytest.raises(ValidationError):
-            hahn_truncated_transfer(
-                HahnFilterParams(alpha=0.0, beta=0.0, N=4, n=2, nu=0.5, delta=1.0, M=8),
-                1.0,
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), alpha=st.floats(-0.9, 2.0), beta=st.floats(-0.9, 2.0),
+           theta=st.sampled_from([0.2, 1.0, 2.5]), delta=st.floats(1e-2, 10.0))
+    def test_every_design_converges_at_its_tail_rate(self, data, alpha, beta, theta, delta):
+        """Any design's truncated response tends to hahn_transfer, and the
+        error shrinks like M^(-nu-1), the decay of its backward taps: from
+        M = 2000 to 8000 it falls by 4^(nu+1) within 10% (measured within
+        2.5% at the corners of these ranges).  Ties the taps' 3F2 route
+        (hahn_weights) to the transfer's terminating 2F1, nu kept 0.1 away
+        from the integers, where the tail vanishes."""
+        whole = data.draw(st.integers(0, 1))
+        nu = whole + data.draw(st.floats(0.1, 0.9))
+        n = data.draw(st.integers(whole + 1, 3))
+        N = data.draw(st.integers(n, 32))
+        omega = theta / delta
+        exact = hahn_transfer(HahnFilterParams(alpha, beta, N, n, nu, delta, 1), omega)
+        err = [abs(hahn_truncated_transfer(HahnFilterParams(alpha, beta, N, n, nu, delta, M),
+                                           omega) - exact) for M in (2000, 8000)]
+        assert err[0] / err[1] == pytest.approx(4.0 ** (nu + 1.0), rel=0.1)
+
+    @pytest.mark.parametrize("alpha,beta,N,n,nu,M", [
+        (0.5, 0.0, 4, 1, 0.5, 64),      # fracfilt sweep --family hahn --alpha 0.5
+        (0.0, 0.0, 4, 1, -0.5, 64),     # gram shape below gram_n1_weights' nu range
+        (0.0, 0.4, 7, 1, 0.3, 300),
+        (0.5, 0.5, 16, 2, 0.5, 1000),
+        (0.3, 1.1, 32, 1, 0.7, 2000),
+        (-0.6, 1.7, 9, 3, 2.5, 512),
+    ])
+    def test_any_design_is_the_sum_of_its_hahn_taps(self, alpha, beta, N, n, nu, M):
+        """Designs outside gram_n1_weights take hahn_weights' taps: the
+        response is prefactor * sum_k taps[M + k] e^(-i k w delta), here
+        against that sum term by term with fsum, relative to sum |terms|."""
+        p = HahnFilterParams(alpha, beta, N, n, nu, delta=0.5, M=M)
+        w = hahn_weights(p)
+        omega = np.linspace(0.0, math.pi / p.delta, 9)
+        got = list(hahn_truncated_transfer(p, omega)) + [hahn_truncated_transfer(p, 1.3)]
+        k = np.arange(-M, N + 1)
+        for om, h in zip([*omega.tolist(), 1.3], got):
+            terms = w.prefactor * w.taps * np.exp(-1j * k * om * p.delta)
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(h - ref) <= 1e-13 * float(np.abs(terms).sum())
 
     @pytest.mark.parametrize("N,M", [(1, 64), (16, 4096), (64, 4096)])
     def test_against_a_high_precision_tap_sum(self, N, M):
