@@ -302,6 +302,8 @@ def write_signal_file(path: str, x, values, valid) -> None:
 def _signal_from_columns(cfg: RunConfig, x: np.ndarray, values: np.ndarray) -> SampledSignal:
     if x.size < 2:
         raise ValidationError("need at least two samples to establish the spacing")
+    if not np.isfinite(x).all():
+        raise ValidationError("sample positions must be finite")
     delta = (x[-1] - x[0]) / (x.size - 1)
     if not delta > 0.0:
         raise ValidationError("sample positions must increase")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_count, check_order, check_step
 from .hahn import FilterWeights, apply_discrete_filter
 from .kernels import _level_nodes, _tanh_sinh
 from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
@@ -34,6 +34,7 @@ class FractionalOrder:
     nu: float
 
     def __post_init__(self) -> None:
+        check_order(self.nu)
         if not self.nu > 0.0:
             raise ValidationError(f"order must be positive, got nu = {self.nu:g}")
 
@@ -66,8 +67,9 @@ class SampledSignal:
         samples = np.array(self.samples, dtype=float)
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if not self.delta > 0.0:
-            raise ValidationError(f"sample step must be positive, got {self.delta:g}")
+        if not math.isfinite(self.x0):
+            raise ValidationError(f"first position x0 must be finite, got {self.x0:g}")
+        check_step(self.delta)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("samples must be a non-empty one-dimensional array")
 
@@ -103,6 +105,7 @@ def rl_power(alpha: float, mu: float, x: float, extended: bool = False) -> float
     """
     if not x > 0.0:
         raise ValidationError(f"power actions need x > 0, got x = {x:g}")
+    check_order(mu)
     if extended:
         coeff = _gamma_ratio(-alpha - mu, -alpha)
     else:
@@ -118,9 +121,7 @@ def weyl_power(alpha: float, mu: float, x: float) -> float:
     converges.  The ratio weyl_power/rl_power equals
     sin(pi*alpha)/sin(pi*(alpha+mu)) wherever both make sense.
     """
-    if not x > 0.0:
-        raise ValidationError(f"power actions need x > 0, got x = {x:g}")
-    return _gamma_ratio(-alpha - mu, -alpha) * x ** (alpha + mu)
+    return rl_power(alpha, mu, x, extended=True)
 
 
 def rl_integral_numeric(f, mu: float, x: float, lower: float) -> float:
@@ -131,6 +132,7 @@ def rl_integral_numeric(f, mu: float, x: float, lower: float) -> float:
     finite, and f smooth on [lower, x]: a kink or a jump there raises
     ConvergenceError.
     """
+    check_order(mu)
     if not mu > 0.0:
         raise ValidationError(f"integral order must be positive, got mu = {mu:g}")
     if not -math.inf < lower <= x < math.inf:
@@ -152,16 +154,16 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
     Computed as the running product c_0 = 1, c_k = c_{k-1} * ((k-1-nu)/k),
     which is stable, overflow-free, and terminates exactly at integer nu.
     """
-    if count < 1:
-        raise ValidationError(f"need at least one coefficient, got count = {count}")
-    return pochhammer_ratios(-nu, count - 1)
+    check_order(nu)
+    return pochhammer_ratios(-nu, as_count(count, "coefficient count") - 1)
 
 
 def gl_weights(nu: float, terms: int, delta: float) -> FilterWeights:
     """The fractional backward difference as a filter: forward tap
     c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu, with
-    c_k = (-nu)_k / k! from gl_coefficients.  A prefactor or a tap past
-    double range raises DomainError."""
+    c_k = (-nu)_k / k! from gl_coefficients, which checks nu and terms.  A
+    prefactor or a tap past double range raises DomainError."""
+    check_step(delta)
     try:
         prefactor = delta ** -nu
     except OverflowError:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import _open_text
-from .errors import DomainError, ValidationError, as_index
+from .errors import (DomainError, ValidationError, as_count, check_exponents, check_order,
+                     check_step)
 from .specfun import gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
 
 MAX_DEFAULT_HISTORY = 4096
@@ -32,6 +33,8 @@ def default_history(N: int, n: int, nu: float) -> int:
     """Backward tap count giving a truncation error small next to the
     forward part: 16*N inflated by 1/(n - nu) as the order approaches n
     (slower tail decay), capped at MAX_DEFAULT_HISTORY."""
+    N, n = as_count(N, "window degree N"), as_count(n, "scheme order n")
+    check_order(nu, n)
     gap = min(1.0, n - nu + 1e-3)
     return max(1, min(MAX_DEFAULT_HISTORY, math.ceil(16.0 * N / gap)))
 
@@ -40,10 +43,10 @@ def default_history(N: int, n: int, nu: float) -> int:
 class HahnFilterParams:
     """Design parameters of the discrete fractional differentiator.
 
-    N+1 forward samples carry a degree-N fit, n is the underlying
-    (integer) derivative order of the polynomial scheme, nu <= n the
-    fractional order actually delivered, M the backward-history length.
-    M=None picks default_history.
+    N+1 forward samples carry a degree-N fit, n in 1..N is the underlying
+    (integer) derivative order of the polynomial scheme, nu the fractional
+    order actually delivered, M the backward-history length.  M=None picks
+    default_history.  Each quantity goes through its errors validator.
     """
 
     alpha: float
@@ -55,28 +58,17 @@ class HahnFilterParams:
     M: int | None = None
 
     def __post_init__(self) -> None:
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValidationError(
-                f"weight exponents must exceed -1, got alpha = {self.alpha:g}, "
-                f"beta = {self.beta:g}"
-            )
-        N, n = as_index(self.N), as_index(self.n)
-        if not N >= 1:
-            raise ValidationError(f"window degree N must be a positive integer, got {self.N!r}")
-        if not 1 <= n <= N:
-            raise ValidationError(
-                f"derivative order n must be an integer in 1..N = {N}, got {self.n!r}"
-            )
+        check_exponents(self.alpha, self.beta)
+        N, n = as_count(self.N, "window degree N"), as_count(self.n, "derivative order n")
+        if not n <= N:
+            raise ValidationError(f"derivative order n must be an integer in 1..N = {N}, "
+                                  f"got {self.n!r}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "n", n)
-        if not -math.inf < self.nu <= self.n:
-            raise ValidationError(f"fractional order nu = {self.nu:g} is not finite "
-                                  f"or exceeds the scheme order n = {self.n}")
-        if not self.delta > 0.0:
-            raise ValidationError(f"sample step must be positive, got {self.delta:g}")
-        M = default_history(N, n, self.nu) if self.M is None else as_index(self.M)
-        if not M >= 1:
-            raise ValidationError(f"history length M must be a positive integer, got {self.M!r}")
+        check_order(self.nu, n)
+        check_step(self.delta)
+        M = default_history(N, n, self.nu) if self.M is None else as_count(
+            self.M, "history length M")
         object.__setattr__(self, "M", M)
 
 
@@ -256,18 +248,12 @@ def gram_n1_weights(N: int, nu: float, delta: float, M: int) -> FilterWeights:
     two-term Gamma-ratio expression, so building even long histories is
     cheap and the round-off floor stays near machine precision.
     """
-    fwd, bwd = as_index(N), as_index(M)
-    if not fwd >= 1:
-        raise ValidationError(f"window degree N must be a positive integer, got {N!r}")
-    if not bwd >= 1:
-        raise ValidationError(f"history length M must be a positive integer, got {M!r}")
-    N, M = fwd, bwd
+    N, M = as_count(N, "window degree N"), as_count(M, "history length M")
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(
             f"the first-order scheme covers orders 0 <= nu <= 1, got {nu:g}"
         )
-    if not delta > 0.0:
-        raise ValidationError(f"sample step must be positive, got {delta:g}")
+    check_step(delta)
 
     prefactor = 6.0 / (N * (N + 1.0) * (N + 2.0) * gamma(3.0 - nu) * delta ** nu)
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GrowthError, ValidationError, as_index
+from .errors import (ConvergenceError, DomainError, GrowthError, ValidationError, as_count,
+                     check_exponents, check_order, check_step)
 from .specfun import SQRT_TWO_PI, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
 
 # apply_kernel extends the tail until its remainder bound drops below
@@ -44,8 +45,8 @@ _TABLE_CACHE_SIZE = 256    # _level_table entries, <= 54 KB each (level 7)
 
 @dataclass(frozen=True)
 class JacobiKernelParams:
-    """Kernel family parameters: Jacobi exponents alpha, beta > -1,
-    integer scheme order n >= 1, fractional order nu <= n, step delta."""
+    """Kernel family parameters: Jacobi exponents alpha, beta, scheme order
+    n, fractional order nu, step delta, each through its errors validator."""
 
     alpha: float
     beta: float
@@ -54,21 +55,10 @@ class JacobiKernelParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValidationError(
-                f"weight exponents must exceed -1, got alpha = {self.alpha:g}, "
-                f"beta = {self.beta:g}"
-            )
-        n = as_index(self.n)
-        if not n >= 1:
-            raise ValidationError(f"scheme order n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        if self.nu > self.n:
-            raise ValidationError(
-                f"fractional order nu = {self.nu:g} exceeds the scheme order n = {self.n}"
-            )
-        if not self.delta > 0.0:
-            raise ValidationError(f"step must be positive, got {self.delta:g}")
+        check_exponents(self.alpha, self.beta)
+        object.__setattr__(self, "n", as_count(self.n, "scheme order n"))
+        check_order(self.nu, self.n)
+        check_step(self.delta)
 
 
 def jacobi_normalization(alpha: float, beta: float, n: int) -> float:
@@ -82,10 +72,8 @@ def jacobi_normalization(alpha: float, beta: float, n: int) -> float:
 def gegenbauer_legendre_params(
     alpha_g: float, n: int, nu: float, delta: float
 ) -> JacobiKernelParams:
-    """Symmetric-weight kernel: Gegenbauer exponent alpha_g > -1/2 maps to
+    """Symmetric-weight kernel: Gegenbauer exponent alpha_g maps to
     alpha = beta = alpha_g - 1/2 (alpha_g = 1/2 is the Legendre case)."""
-    if not alpha_g > -0.5:
-        raise ValidationError(f"Gegenbauer exponent must exceed -1/2, got {alpha_g:g}")
     return JacobiKernelParams(
         alpha=alpha_g - 0.5, beta=alpha_g - 0.5, n=n, nu=nu, delta=delta
     )
@@ -168,15 +156,10 @@ def _kernel_piece(params: JacobiKernelParams, u, v, interior: bool):
 def laguerre_kernel(alpha: float, n: int, nu: float, y: float) -> float:
     """Half-line kernel y^(n-nu+alpha) e^(-y) M(-nu; n-nu+alpha+1; y) /
     G(n-nu+alpha+1) for y >= 0 (exponential weight family)."""
-    if not alpha > -1.0:
-        raise ValidationError(f"weight exponent must exceed -1, got alpha = {alpha:g}")
-    order = as_index(n)
-    if not order >= 1:
-        raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
-    n = order
-    if nu > n:
-        raise ValidationError(f"fractional order nu = {nu:g} exceeds n = {n}")
-    if y < 0.0:
+    check_exponents(alpha)
+    n = as_count(n, "scheme order n")
+    check_order(nu, n)
+    if not y >= 0.0:
         raise ValidationError(f"half-line kernel needs y >= 0, got {y:g}")
     p = n - nu + alpha
     if y == 0.0:
@@ -361,6 +344,8 @@ def apply_kernel(
         )
     if tail_cutoff is not None and not tail_cutoff > 1.0:
         raise ValidationError(f"tail cutoff must exceed 1, got {tail_cutoff:g}")
+    if not math.isfinite(x):
+        raise ValidationError(f"position x must be finite, got {x:g}")
 
     at_one = params.n + params.alpha - nu    # k ~ |1 - y|^at_one at y = 1
     interior, _ = _integrate(f, params, x, -1.0, 1.0,
@@ -423,6 +408,8 @@ def orthogonal_derivative(
     ConvergenceError.
     """
     JacobiKernelParams(alpha, beta, n, n, delta)    # the same design at nu = n
+    if not math.isfinite(x):
+        raise ValidationError(f"position x must be finite, got {x:g}")
     coeff = gamma(n + 1.0) / jacobi_normalization(alpha, beta, n)
 
     def level_values(level):

@@ -37,7 +37,8 @@ from itertools import chain
 import numpy as np
 
 from ._textio import _open_text
-from .errors import DomainError, FracfiltError, ValidationError, as_index
+from .errors import (DomainError, FracfiltError, ValidationError, as_count, check_order,
+                     check_step)
 from .hahn import HahnFilterParams, gram_n1_weights, hahn_weights
 from .kernels import JacobiKernelParams
 from .specfun import (
@@ -97,9 +98,7 @@ _MAX_GRID_POINTS = 10**7
 
 
 def _grid_count(count) -> int:
-    n = as_index(count)
-    if not n >= 1:
-        raise ValidationError(f"grid point count must be a positive integer, got {count!r}")
+    n = as_count(count, "grid point count")
     if n > _MAX_GRID_POINTS:
         raise ValidationError(f"grid point count {n} is above the cap of {_MAX_GRID_POINTS}")
     return n
@@ -267,6 +266,8 @@ def _axis_power(w, nu: float, sign: float):
 
 
 _NO_OP = contextlib.nullcontext()
+# tested by name: Convention.WEYL takes about 0.1 us to read on Python 3.11
+_WEYL = Convention.WEYL
 
 
 def _quiet(on):
@@ -282,8 +283,9 @@ def ideal_transfer(
     nu: float, omega: float | np.ndarray, convention: Convention
 ) -> complex | np.ndarray:
     """Pure power law: (i omega)^nu upper-limit, (-i omega)^nu lower."""
+    check_order(nu)
     w = _real_omega(omega)
-    return _result(w, _axis_power(w, nu, 1.0 if convention is Convention.WEYL else -1.0))
+    return _result(w, _axis_power(w, nu, 1.0 if convention is _WEYL else -1.0))
 
 
 def jacobi_transfer(
@@ -303,7 +305,7 @@ def jacobi_transfer(
     confluent = kummer_m(n + a + 1.0, 2.0 * n + a + b + 2.0, 2j * w * delta)
     with _quiet(not 0.0 <= nu < 1.0):
         value = power * np.exp(-1j * w * delta) * confluent
-    return _result(w, value if convention is Convention.WEYL else np.conj(value))
+    return _result(w, value if convention is _WEYL else np.conj(value))
 
 
 def legendre_transfer(
@@ -313,12 +315,11 @@ def legendre_transfer(
     """Flat-weight (alpha = beta = 0) kernel response in spherical Bessel
     form: (i w)^nu (2n+1)!! j_n(w delta)/(w delta)^n, one spherical_jn_ratio
     call.  Same function as jacobi_transfer at those parameters but valid
-    at any finite frequency; (2n+1)!! overflows (DomainError) from n = 150 on."""
-    order = as_index(n)
-    if not order >= 1:
-        raise ValidationError(f"scheme order n must be a positive integer, got {n!r}")
-    if not 0.0 < delta < math.inf:
-        raise ValidationError(f"step must be positive and finite, got {delta:g}")
+    at any finite frequency and nu; (2n+1)!! overflows (DomainError) from
+    n = 150 on."""
+    order = as_count(n, "scheme order n")
+    check_order(nu)
+    check_step(delta)
     if order >= 150:
         raise DomainError(f"(2n+1)!! overflows double precision at n = {order}")
     w = _real_omega(omega)
@@ -326,7 +327,7 @@ def legendre_transfer(
     ratio = spherical_jn_ratio(order, w * delta)
     with _quiet(not 0.0 <= nu < 1.0):
         value = power * _odd_product(order) * ratio
-    return _result(w, value if convention is Convention.WEYL else np.conj(value))
+    return _result(w, value if convention is _WEYL else np.conj(value))
 
 
 def hahn_transfer(
@@ -436,8 +437,8 @@ def gl_transfer(
 ) -> complex | np.ndarray:
     """Backward-difference response ((1 - e^(i w delta))/delta)^nu; tends
     to (-i w)^nu as delta -> 0."""
-    if not delta > 0.0:
-        raise ValidationError(f"step must be positive, got {delta:g}")
+    check_order(nu)
+    check_step(delta)
     w = _real_omega(omega)
     return _result(w, complex_power((1.0 - np.exp(1j * w * delta)) / delta, nu))
 
@@ -447,11 +448,9 @@ def butterworth_fractional_transfer(
 ) -> complex | np.ndarray:
     """Fractional differentiator shaped by a 2n-pole low-pass roll-off:
     (-i w)^nu / (1 + (w/w0)^(2n))."""
-    order = as_index(n)
-    if not order >= 1:
-        raise ValidationError(f"filter order n must be a positive integer, got {n!r}")
-    if not omega0 > 0.0:
-        raise ValidationError(f"corner frequency must be positive, got {omega0:g}")
+    check_order(nu)
+    order = as_count(n, "filter order n")
+    check_step(omega0, "corner frequency omega0")
     w = _real_omega(omega)
     with np.errstate(over="ignore", invalid="ignore"):    # sweep flags inf/NaN
         return _result(w, _axis_power(w, nu, -1.0) / (1.0 + (w / omega0) ** (2 * order)))
@@ -463,14 +462,10 @@ def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
     Algebraically identical to summing the taps, but arranged so the big
     cancellations happen symbolically: one fractional Gamma ratio times a
     small bracket whose pieces are O(M) products.  Decays like M^(-nu)."""
-    fwd, bwd = as_index(N), as_index(M)
-    if not (fwd >= 1 and bwd >= 1):
-        raise ValidationError(f"need positive integers N, M; got N = {N!r}, M = {M!r}")
-    N, M = fwd, bwd
+    N, M = as_count(N, "window degree N"), as_count(M, "history length M")
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(f"first-order scheme covers 0 <= nu <= 1, got {nu:g}")
-    if not delta > 0.0:
-        raise ValidationError(f"step must be positive, got {delta:g}")
+    check_step(delta)
     pref = 6.0 / (N * (N + 1.0) * (N + 2.0) * gamma(4.0 - nu) * delta ** nu)
     outer = gamma_ratio((M - nu + 2.0,), (float(M),))
     # nominal bracket is (N - 2M - N nu) * prod((M-nu+2+k)/(M+k)) + (3-nu)N

@@ -4,6 +4,7 @@ filtering, sweeps, metrics, determinism, and exit codes."""
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -240,6 +241,21 @@ class TestFilterMode:
         )
         assert code == 1
         assert "not uniform" in err
+
+    @pytest.mark.parametrize("x", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0),
+                                   (math.inf, math.inf)])
+    def test_non_finite_positions_rejected(self, tmp_path, capsys, x):
+        """x = 0, inf used to exit 0, writing two valid rows of 0.0 after
+        a numpy RuntimeWarning from the spacing test."""
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, x, [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["filter", "--family", "gl", "--nu", "0.5", "--causal",
+                                "-i", str(src), "-o", str(dst)], capsys)
+        assert code == 1
+        assert err == "fracfilt: error: sample positions must be finite\n"
+        assert not dst.exists()
 
     def test_delta_cross_check(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
