@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, ValidationError, as_count, check_order, check_step
 from .hahn import FilterWeights, apply_discrete_filter
 from .kernels import _level_nodes, _tanh_sinh
-from .specfun import _nonpositive_int, gamma, gamma_ratio, pochhammer_ratios
+from .specfun import _nonpositive_int, _over_step, gamma, gamma_ratio, pochhammer_ratios
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,16 @@ def gl_coefficients(nu: float, count: int) -> np.ndarray:
 
 def gl_weights(nu: float, terms: int, delta: float) -> FilterWeights:
     """The fractional backward difference as a filter: forward tap
-    c_0 = 1, backward taps c_1..c_{terms-1}, prefactor delta**-nu, with
-    c_k = (-nu)_k / k! from gl_coefficients, which checks nu and terms.  A
-    prefactor or a tap past double range raises DomainError."""
+    c_0 = 1, backward taps c_1..c_{terms-1} with c_k = (-nu)_k / k! from
+    gl_coefficients, which checks nu and terms, and prefactor 1/delta**nu
+    from specfun._over_step.  A tap past double range raises DomainError."""
     check_step(delta)
-    try:
-        prefactor = delta ** -nu
-    except OverflowError:
-        raise DomainError(f"delta**-nu overflows at delta = {delta:g}, nu = {nu:g}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = gl_coefficients(nu, terms)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"gl taps of order {nu:g} overflow double precision")
-    return FilterWeights(forward=coeffs[:1], backward=coeffs[1:], prefactor=prefactor)
+    return FilterWeights(forward=coeffs[:1], backward=coeffs[1:],
+                         prefactor=_over_step(1.0, 1.0, delta, nu))
 
 
 def gl_difference(signal: SampledSignal, nu: float, at_index: int, terms: int) -> float:

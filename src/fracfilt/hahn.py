@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._textio import _open_text
-from .errors import (DomainError, ValidationError, as_count, check_exponents, check_order,
-                     check_step)
-from .specfun import gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
+from .errors import ValidationError, as_count, check_exponents, check_order, check_step
+from .specfun import _over_step, gamma, gamma_ratio, hyp3f2_unit, pochhammer_ratios
 
 MAX_DEFAULT_HISTORY = 4096
 
@@ -100,7 +99,7 @@ class FilterWeights:
     multiplies f(x + k*delta).  forward[m] (m = 0..N, offset m) and
     backward[m-1] (m = 1..M, offset -m) are read-only views into it, made
     once here, so the two layouts cannot drift apart.  prefactor is the
-    common gain (carries the delta**-nu scaling) applied to the whole sum.
+    common gain per step (specfun._over_step) applied to the whole sum.
     _table holds apply_discrete_filter's whole-record rows, if any.
     """
 
@@ -233,10 +232,7 @@ def hahn_weights(p: HahnFilterParams) -> FilterWeights:
     ratio = pochhammer_ratios(-p.nu, p.n + p.M)[p.n + 1:]
     lead = _j1_lead(p.alpha, p.beta, p.N, p.n)
     backward = lead * ratio * _j1_series(p, m)
-    try:
-        prefactor = hahn_normalization(p.alpha, p.beta, p.N, p.n) / p.delta ** p.nu
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"delta**nu leaves double range at nu = {p.nu:g}") from None
+    prefactor = _over_step(hahn_normalization(p.alpha, p.beta, p.N, p.n), 1.0, p.delta, p.nu)
     return FilterWeights(forward=forward, backward=backward, prefactor=prefactor)
 
 
@@ -255,7 +251,7 @@ def gram_n1_weights(N: int, nu: float, delta: float, M: int) -> FilterWeights:
         )
     check_step(delta)
 
-    prefactor = 6.0 / (N * (N + 1.0) * (N + 2.0) * gamma(3.0 - nu) * delta ** nu)
+    prefactor = _over_step(6.0, N * (N + 1.0) * (N + 2.0) * gamma(3.0 - nu), delta, nu)
 
     forward = np.empty(N + 1)
     # ratio(j) = G(j - nu + 2)/G(j + 1) walked up from j = 0

@@ -8,8 +8,8 @@ interior piece on (-1, 1) and an algebraically decaying tail y > 1.  At
 integer nu = n the tail vanishes and the interior collapses onto the
 classical orthogonal-polynomial derivative approximation.
 
-Kernel functions here return the pure shape; apply_kernel owns the
-delta**-nu scaling and the tail truncation bookkeeping.  jacobi_kernel
+Kernel functions here return the pure shape; apply_kernel owns the tail
+bookkeeping and the 1/delta**nu scaling (specfun._over_step).  jacobi_kernel
 takes a float or a whole array of y, and apply_kernel integrates with the
 package's one quadrature rule, nested tanh-sinh over whole node arrays
 with one kernel call per level.  The nodes and k values are cached per
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, GrowthError, ValidationError, as_count,
                      check_exponents, check_order, check_step)
-from .specfun import SQRT_TWO_PI, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
+from .specfun import SQRT_TWO_PI, _over_step, gamma, gamma_ratio, hyp2f1, kummer_m, rgamma
 
 # apply_kernel extends the tail until its remainder bound drops below
 # this fraction of the interior contribution.
@@ -265,6 +265,7 @@ def _tanh_sinh(level_values, lo: float, hi: float, powers: tuple[float, float]) 
     two agree to max(1e-13, 1e-10 |I|).  level_values(level) gives the
     integrand at that level's _level_nodes and the nodes' distances d_lo,
     d_hi to both ends, so the integrand's powers never see a rounded node.
+    A level whose integrand is not finite is f's fault: ValidationError.
 
     `powers` are the exponents e of the integrand's behaviour at lo and
     hi.  At an end with e < 0 the integrand goes like c d^e, and for e
@@ -276,6 +277,8 @@ def _tanh_sinh(level_values, lo: float, hi: float, powers: tuple[float, float]) 
     estimate = None
     for level in range(_TS_LEVELS):
         fk, d_lo, d_hi = level_values(level)
+        if not np.isfinite(fk).all():
+            raise ValidationError(f"f returned a non-finite value for y in [{lo:g}, {hi:g}]")
         if level == 0:
             c_lo, c_hi = (float(fk[i] / d[i] ** e) if e < 0.0 else 0.0
                           for i, d, e in ((0, d_lo, e_lo), (-1, d_hi, e_hi)))
@@ -354,7 +357,7 @@ def apply_kernel(
 
     if rgamma(-nu) == 0.0:
         # integer order: the kernel has no tail
-        return KernelApplication(value=interior / delta ** nu, tail_bound=0.0)
+        return KernelApplication(value=_over_step(interior, 1.0, delta, nu), tail_bound=0.0)
 
     tail = 0.0
     bound = math.inf
@@ -388,10 +391,8 @@ def apply_kernel(
             )
         lo = hi
 
-    inv_scale = delta ** -nu
-    return KernelApplication(
-        value=(interior + tail) * inv_scale, tail_bound=bound * inv_scale
-    )
+    return KernelApplication(value=_over_step(interior + tail, 1.0, delta, nu),
+                             tail_bound=_over_step(bound, 1.0, delta, nu))
 
 
 def orthogonal_derivative(
@@ -417,7 +418,7 @@ def orthogonal_derivative(
         fy = np.array([f(x + delta * yi) for yi in y.tolist()], dtype=float)
         return fy * d_hi ** alpha * d_lo ** beta * _jacobi_p(n, alpha, beta, y), d_lo, d_hi
 
-    return coeff * _tanh_sinh(level_values, -1.0, 1.0, (beta, alpha)) / delta ** n
+    return _over_step(coeff * _tanh_sinh(level_values, -1.0, 1.0, (beta, alpha)), 1.0, delta, n)
 
 
 def _jacobi_p(n: int, a: float, b: float, y):

@@ -51,6 +51,8 @@ _LAST_BLOCK = 1024
 KUMMER_MAX_ABS = 50.0
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_TINY = 2.0 ** -1022                # the smallest normal double
+_NO_OP = contextlib.nullcontext()   # one reusable no-op context
 
 
 def _nonpositive_int(x: float) -> bool:
@@ -117,6 +119,23 @@ def gamma_ratio(tops, bottoms) -> float:
         raise DomainError(
             f"gamma ratio of {tuple(tops)} over {tuple(bottoms)} overflows double precision"
         ) from None
+
+
+def _over_step(num: float, den: float, delta: float, nu: float) -> float:
+    """num / (den * delta**nu), the one route from a design gain num/den or
+    an integral num to its value per step.  DomainError where delta**nu or
+    den * delta**nu is not a finite normal double, or the quotient
+    overflows; a tiny or zero num keeps its tiny or zero quotient."""
+    try:
+        power = delta ** nu
+        scale = den * power
+        if _TINY <= power < math.inf and _TINY <= abs(scale) < math.inf:
+            value = num / scale
+            if abs(value) < math.inf:
+                return value
+    except OverflowError:      # Python's pow raises past double range
+        pass
+    raise DomainError(f"gain per step leaves double range at delta = {delta:g}, nu = {nu:g}")
 
 
 def pochhammer_ratios(a: float, k: int) -> np.ndarray:
@@ -517,7 +536,7 @@ def spherical_jn_ratio(n: int, x):
         # they overflow to inf, which gives the 0 the ratio underflows to.
         # np.errstate costs about 2 us, so it is entered only then.
         big = hi >= 2.0 ** (1023 / max(n, 2))
-        with np.errstate(over="ignore") if big else contextlib.nullcontext():
+        with np.errstate(over="ignore") if big else _NO_OP:
             xb = a if lo >= 1.0 else np.maximum(a, 1.0)
             sin = np.sin(xb)
             j0, j1 = sin / xb, sin / (xb * xb) - np.cos(xb) / xb

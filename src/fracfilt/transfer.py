@@ -24,7 +24,6 @@ of ``TransferSample``.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import enum
 import json
 import math
@@ -41,9 +40,8 @@ from .errors import (DomainError, FracfiltError, ValidationError, as_count, chec
                      check_step)
 from .hahn import HahnFilterParams, gram_n1_weights, hahn_weights
 from .kernels import JacobiKernelParams
-from .specfun import (
-    _odd_product, complex_power, gamma, gamma_ratio, hyp2f1, kummer_m, spherical_jn_ratio,
-)
+from .specfun import (_NO_OP, _odd_product, _over_step, complex_power, gamma, gamma_ratio,
+                      hyp2f1, kummer_m, spherical_jn_ratio)
 
 
 class Convention(enum.Enum):
@@ -239,6 +237,19 @@ def _real_omega(omega):
     return np.float64(omega)
 
 
+def _angle(w, delta: float):
+    """w * delta for w from _real_omega, or DomainError where any |w delta|
+    is not finite.  A scalar w multiplies as a Python float, never warning."""
+    if w.ndim:
+        with _quiet(True):
+            theta = w * delta
+        if np.isfinite(theta).all():
+            return theta
+    elif math.isfinite(theta := float(w) * delta):
+        return theta
+    raise DomainError(f"omega * delta leaves double range at delta = {delta:g}")
+
+
 def _result(w, value) -> complex | np.ndarray:
     """complex for a scalar omega, a complex array for an array omega;
     w is _real_omega(omega)."""
@@ -265,7 +276,6 @@ def _axis_power(w, nu: float, sign: float):
     return np.where(zero, 0j if nu > 0.0 else 1.0 + 0j, out) if edge else out
 
 
-_NO_OP = contextlib.nullcontext()
 # tested by name: Convention.WEYL takes about 0.1 us to read on Python 3.11
 _WEYL = Convention.WEYL
 
@@ -324,7 +334,7 @@ def legendre_transfer(
         raise DomainError(f"(2n+1)!! overflows double precision at n = {order}")
     w = _real_omega(omega)
     power = _axis_power(w, nu, 1.0)
-    ratio = spherical_jn_ratio(order, w * delta)
+    ratio = spherical_jn_ratio(order, _angle(w, delta))
     with _quiet(not 0.0 <= nu < 1.0):
         value = power * _odd_product(order) * ratio
     return _result(w, value if convention is _WEYL else np.conj(value))
@@ -347,7 +357,7 @@ def hahn_transfer(
     gain = gamma_ratio((N + b + 1.0, 2.0 * n + a + b + 2.0),
                        (n + b + 1.0, N + n + a + b + 2.0))
     w = _real_omega(omega)
-    phase = 1j * w * params.delta
+    phase = 1j * _angle(w, params.delta)
     power = complex_power((1.0 - np.exp(phase)) / params.delta, params.nu)
     series = hyp2f1(float(n - N), a + n + 1.0, -b - float(N), np.exp(-phase))
     with _quiet(not 0.0 <= params.nu < 1.0):
@@ -400,7 +410,8 @@ def hahn_truncated_transfer(
     Horner's rule in z^B.  An array of P frequencies costs O(P (M + N))
     flops in O(sqrt(M + N)) numpy calls per chunk of frequencies."""
     prefactor, blocks, n_back, B = _gram_taps(params)
-    theta = _real_omega(omega) * params.delta
+    w = _real_omega(omega)
+    theta = _angle(w, params.delta)
     flat = np.reshape(theta, -1)
     out = np.empty(flat.size, dtype=complex)
     r = np.arange(B, dtype=float)
@@ -421,7 +432,7 @@ def hahn_truncated_transfer(
             fore *= zB
             fore += sums[q]
         out[lo:lo + step] = back + np.conj(fore)
-    return _result(theta, prefactor * out.reshape(np.shape(theta)))
+    return _result(w, prefactor * out.reshape(np.shape(theta)))
 
 
 def _unit_circle(angles: np.ndarray) -> np.ndarray:
@@ -440,7 +451,7 @@ def gl_transfer(
     check_order(nu)
     check_step(delta)
     w = _real_omega(omega)
-    return _result(w, complex_power((1.0 - np.exp(1j * w * delta)) / delta, nu))
+    return _result(w, complex_power((1.0 - np.exp(1j * _angle(w, delta))) / delta, nu))
 
 
 def butterworth_fractional_transfer(
@@ -466,7 +477,7 @@ def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(f"first-order scheme covers 0 <= nu <= 1, got {nu:g}")
     check_step(delta)
-    pref = 6.0 / (N * (N + 1.0) * (N + 2.0) * gamma(4.0 - nu) * delta ** nu)
+    pref = _over_step(6.0, N * (N + 1.0) * (N + 2.0) * gamma(4.0 - nu), delta, nu)
     outer = gamma_ratio((M - nu + 2.0,), (float(M),))
     # nominal bracket is (N - 2M - N nu) * prod((M-nu+2+k)/(M+k)) + (3-nu)N
     # + 2(M-nu+2): two O(M) pieces cancelling to O(M^-2).  With the product
@@ -477,21 +488,23 @@ def truncated_dc_gain(N: int, nu: float, delta: float, M: int) -> float:
     # p is accumulated directly (each step of s adds e + s*e, so p gains
     # s*e) rather than formed as the difference s - s1.  The pieces still
     # cancel: at (N, M, nu) = (16, 4096, 0.5) they are 0.0993, 0.0497 and
-    # -0.1490, they sum to 9.1e-5, and the result is 2.4e-12 relative off
-    # a 50-digit value.
-    s = 0.0
-    s1 = 0.0
-    p = 0.0
-    t1 = 0.0
+    # -0.1490 and sum to 9.1e-5.  The result is 2.4e-12 relative off a
+    # 60-digit value, but from `outer`, not the bracket: gamma_ratio's lgamma
+    # fallback puts 2.42e-12 there at M = 4096; an exact `outer` gives 7e-15.
+    s = s1 = p = t1 = 0.0
+    two_nu = 2.0 - nu
     for k in range(N + 1):
-        e = (2.0 - nu) / (M + k)
+        e = two_nu / (M + k)
         p += s * e
         s += e + s * e
         s1 += e
         t1 += k / (M + k)
     inner = (2.0 * (2.0 - nu) * t1 + N * (1.0 - nu) * s1
              + (N - 2.0 * M - N * nu) * p)
-    return pref * outer * inner
+    gain = pref * outer * inner      # pref * outer alone can overflow
+    if abs(gain) < math.inf:
+        return gain
+    raise DomainError(f"the DC gain leaves double range at delta = {delta:g}, nu = {nu:g}")
 
 
 @dataclass(frozen=True)
@@ -513,7 +526,7 @@ class FilterMetrics:
 
 
 def filter_metrics(params: HahnFilterParams) -> FilterMetrics:
-    """Quality metrics for the truncated first-order flat-weight filter."""
+    """Finite quality metrics of the truncated first-order flat-weight filter, else DomainError."""
     if params.n != 1 or params.alpha != 0.0 or params.beta != 0.0:
         raise ValidationError(
             "metrics are defined for the first-order flat-weight scheme "
@@ -530,13 +543,10 @@ def filter_metrics(params: HahnFilterParams) -> FilterMetrics:
     d = 6.0 * N + nu + 6.0 * N * nu + N * N * nu + N * N + 9.0
     omega_max = 2.0 * math.sqrt(6.0) / delta * math.sqrt((1.0 - nu) / d)
     bandwidth = omega_max - omega_lower if omega_lower < omega_max else None
-    return FilterMetrics(
-        h_zero=h_zero,
-        omega_lower=omega_lower,
-        omega_lower_practical=10.0 * omega_lower,
-        omega_max=omega_max,
-        bandwidth=bandwidth,
-    )
+    metrics = FilterMetrics(h_zero, omega_lower, 10.0 * omega_lower, omega_max, bandwidth)
+    if all(v is None or abs(v) < math.inf for v in vars(metrics).values()):
+        return metrics
+    raise DomainError(f"a metric leaves double range at delta = {delta:g}: {metrics}")
 
 
 def sweep(transfer, grid: FrequencyGrid) -> Sweep:

@@ -579,9 +579,10 @@ class TestTruncatedDcGain:
 
     @pytest.mark.parametrize("N,M,nu", [
         pytest.param(16, 4096, 0.5, marks=pytest.mark.xfail(strict=True, reason=(
-            "truncated_dc_gain cancels: its bracket pieces (0.0993, 0.0497, "
-            "-0.1490 at N = 16, M = 4096, nu = 0.5) sum to 9.1e-5, leaving "
-            "2.4e-12 relative error"))),
+            "the outer factor gamma_ratio((M - nu + 2,), (M,)) takes the lgamma "
+            "fallback at M = 4096 and is 2.42e-12 off alone; the cancelling "
+            "bracket is not the cause (with an exact outer factor the result "
+            "is 7e-15 off)"))),
         pytest.param(1, 156, 0.003),
     ])
     def test_against_high_precision(self, N, M, nu):
